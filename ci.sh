@@ -75,6 +75,13 @@ cargo run -q --release -p bf-bench --bin cache -- --smoke --check experiments/BE
 echo "==> federation bench (smoke + archive check)"
 cargo run -q --release -p bf-bench --bin federation -- --smoke --check experiments/BENCH_federation.json
 
+# Wall-clock benchmark self-tests: perfbench is a package of its own (see
+# perfbench/README.md); its tests run each workload at a fixed request
+# count and require identical work counters across same-seed runs and
+# different inputs across seeds.
+echo "==> perfbench determinism tests"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Virtual-time conformance: the data-path refactor must never move the
 # paper's Fig. 4(a) numbers — regenerate and require byte-identical JSON.
 echo "==> fig4a virtual-time check"

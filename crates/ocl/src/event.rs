@@ -102,8 +102,8 @@ struct EventInner {
 static NEXT_EVENT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A handle to an asynchronous command's status, shared between the
-/// application thread and the runtime (native executor or the Remote
-/// Library's connection thread).
+/// application thread and the runtime (native executor, or whichever
+/// Remote Library thread dispatches the command's completion).
 #[derive(Debug, Clone)]
 pub struct Event {
     inner: Arc<EventInner>,
@@ -162,9 +162,10 @@ impl Event {
     /// Registers a completion callback (`clSetEventCallback`): invoked
     /// exactly once with the terminal status. If the event is already
     /// terminal the callback runs immediately on the calling thread;
-    /// otherwise it runs on the thread that completes the event (the
-    /// connection thread for remoted commands — keep it short, as the
-    /// OpenCL specification also demands).
+    /// otherwise it runs on the thread that completes the event (for
+    /// remoted commands, the reactor or a caller dispatching completions
+    /// while it blocks — keep it short, as the OpenCL specification also
+    /// demands).
     pub fn on_complete(&self, callback: impl FnOnce(EventStatus) + Send + 'static) {
         let mut callback = Some(Box::new(callback) as EventCallback);
         let immediate = {

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use bf_race::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use bf_race::sync::{Condvar, Mutex};
 use bf_race::{explore, explore_with, thread, Config, FailureKind};
 use bf_rpc::{
@@ -94,6 +95,154 @@ fn seeded_hub_without_generation_recheck_is_caught() {
         bumper.join();
     })
     .expect_err("some schedule must lose the wakeup");
+    assert_eq!(err.kind, FailureKind::Deadlock, "{err}");
+    assert!(err.to_string().contains("lost wakeup"), "{err}");
+}
+
+/// Completion dispatch handover (the Remote Library's `Drive` protocol):
+/// one completion frame for an operation nobody blocks on races a caller
+/// arriving on the connection (claim the stream, then take the dispatch
+/// role), draining what is queued and leaving (give up the role, then
+/// release the claim), and a poller standing in for the reactor (try the
+/// role, skip the connection while it is held). On every schedule the
+/// frame is popped and dispatched exactly once, and it is never left
+/// queued while the poller sleeps unsignalled.
+#[test]
+fn completion_handover_dispatches_each_frame_exactly_once() {
+    let stats = explore("completion_handover", || {
+        let (client, server) = duplex_with_depth(2);
+        let rx = client.completions();
+        let mut poller = Poller::new();
+        let data_tok = poller.register(rx.clone());
+        let (wake_tok, waker) = poller.add_waker();
+        let role = Arc::new(AtomicBool::new(false));
+        let dispatched = Arc::new(AtomicUsize::new(0));
+
+        // Returns the server half so its close is not a readiness edge.
+        let manager = thread::spawn(move || {
+            server.send(&resp(1)).expect("send");
+            server
+        });
+        let waiter = {
+            let (rx, role, dispatched) = (rx.clone(), role.clone(), dispatched.clone());
+            thread::spawn(move || {
+                rx.claim();
+                if !role.swap(true, Ordering::SeqCst) {
+                    while let Ok(Some(_)) = rx.try_recv_frame() {
+                        dispatched.fetch_add(1, Ordering::SeqCst);
+                    }
+                    role.store(false, Ordering::SeqCst);
+                }
+                rx.release();
+                // The caller returns: tell the reactor stand-in the
+                // frame was consumed here, so it stops waiting for it.
+                if dispatched.load(Ordering::SeqCst) > 0 {
+                    waker.wake();
+                }
+                // Handed back so its drop is not a permanent wake edge.
+                waker
+            })
+        };
+        while dispatched.load(Ordering::SeqCst) == 0 {
+            match poller.poll(None) {
+                PollEvent::Ready(tok) if tok == data_tok => {
+                    if !role.swap(true, Ordering::SeqCst) {
+                        while let Ok(Some(_)) = rx.try_recv_frame() {
+                            dispatched.fetch_add(1, Ordering::SeqCst);
+                        }
+                        role.store(false, Ordering::SeqCst);
+                    }
+                }
+                PollEvent::Ready(tok) if tok == wake_tok => {}
+                other => panic!("unexpected poll result: {other:?}"),
+            }
+        }
+        let waker = waiter.join();
+        let server = manager.join();
+        assert_eq!(dispatched.load(Ordering::SeqCst), 1, "dispatched once");
+        assert_eq!(rx.try_recv_frame(), Ok(None), "nothing left queued");
+        drop((waker, server));
+    })
+    .expect("no schedule may strand or double-dispatch the frame");
+    println!(
+        "completion_handover: {} schedules explored",
+        stats.schedules
+    );
+    assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
+}
+
+/// Seeded bug: a claim `release` that does not re-bump the poller. A
+/// replica of the claimed queue (frames, claims) and the poller's hub
+/// (generation + condvar) runs the same three parties as above; the
+/// checker must find the schedule where the frame lands during the claim,
+/// after the caller last looked, and the release leaves it queued with
+/// the poller asleep — a lost wakeup.
+#[test]
+fn seeded_release_without_rebump_is_caught() {
+    let err = explore("seeded_release_no_rebump", || {
+        // (frames queued, claims held)
+        let queue = Arc::new(Mutex::new((0usize, 0usize)));
+        let hub = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let role = Arc::new(AtomicBool::new(false));
+        let dispatched = Arc::new(AtomicUsize::new(0));
+        let bump = |hub: &(Mutex<u64>, Condvar)| {
+            *hub.0.lock() += 1;
+            hub.1.notify_all();
+        };
+        let drain = |queue: &Mutex<(usize, usize)>, dispatched: &AtomicUsize| {
+            let popped = std::mem::take(&mut queue.lock().0);
+            dispatched.fetch_add(popped, Ordering::SeqCst);
+        };
+
+        let manager = {
+            let (queue, hub) = (queue.clone(), hub.clone());
+            thread::spawn(move || {
+                let mut q = queue.lock();
+                q.0 += 1;
+                let claimed = q.1 > 0;
+                drop(q);
+                if !claimed {
+                    bump(&hub);
+                }
+            })
+        };
+        let waiter = {
+            let (queue, hub) = (queue.clone(), hub.clone());
+            let (role, dispatched) = (role.clone(), dispatched.clone());
+            thread::spawn(move || {
+                queue.lock().1 += 1;
+                if !role.swap(true, Ordering::SeqCst) {
+                    drain(&queue, &dispatched);
+                    role.store(false, Ordering::SeqCst);
+                }
+                // BUG (seeded): the real release re-bumps the hub when
+                // frames are left once the last claim goes.
+                queue.lock().1 -= 1;
+                if dispatched.load(Ordering::SeqCst) > 0 {
+                    bump(&hub);
+                }
+            })
+        };
+        while dispatched.load(Ordering::SeqCst) == 0 {
+            let seen = *hub.0.lock();
+            let ready = {
+                let q = queue.lock();
+                q.0 > 0 && q.1 == 0
+            };
+            if ready && !role.swap(true, Ordering::SeqCst) {
+                drain(&queue, &dispatched);
+                role.store(false, Ordering::SeqCst);
+                continue;
+            }
+            let mut poll_gen = hub.0.lock();
+            if *poll_gen == seen {
+                hub.1.wait(&mut poll_gen);
+            }
+        }
+        waiter.join();
+        manager.join();
+    })
+    .expect_err("some schedule must strand the frame");
     assert_eq!(err.kind, FailureKind::Deadlock, "{err}");
     assert!(err.to_string().contains("lost wakeup"), "{err}");
 }

@@ -11,7 +11,7 @@ use bf_ocl::{
 };
 use bf_rpc::{DataRef, ErrorCode, Request, Response, WireArg};
 
-use crate::connection::{map_error, Connection};
+use crate::connection::{map_error, recv_reply, wait_event, Connection, Drive};
 
 /// OpenCL backend that remotes every call to a Device Manager over the
 /// connection's gRPC-like channel, using the shared-memory data path when
@@ -189,12 +189,15 @@ impl RemoteBackend {
     /// blocks for the manager's verdict: `Enqueued` confirms the cache
     /// hit, `CacheMiss` asks for an inline resend. Waiting here (one
     /// control hop) keeps queue order — nothing else can slip between the
-    /// digest attempt and its inline retry.
+    /// digest attempt and its inline retry. The caller takes `drive`
+    /// before calling, so the verdict is dispatched on this thread when
+    /// the role was free.
     ///
     /// # Errors
     ///
     /// Manager errors other than `CacheMiss` fail the event and map to
     /// [`ClError`]; so does a vanished connection.
+    #[allow(clippy::too_many_arguments)] // the write's target plus the caller's dispatch role
     fn try_digest_write(
         &self,
         queue: QueueId,
@@ -203,6 +206,7 @@ impl RemoteBackend {
         digest: u128,
         len: u64,
         event: &Event,
+        drive: Option<&Drive<'_>>,
     ) -> ClResult<DigestOutcome> {
         let sent = self.pipeline_now();
         let rx = self.conn.submit_op_acked(
@@ -215,18 +219,16 @@ impl RemoteBackend {
             sent,
             event.clone(),
         )?;
-        match rx.recv() {
-            Ok(Ok(observed)) => Ok(DigestOutcome::Hit(observed)),
-            Ok(Err((ErrorCode::CacheMiss, _))) => Ok(DigestOutcome::Miss),
-            Ok(Err((code, message))) => {
+        // A closed stream fails with the event already failed through
+        // `fail_pending`.
+        match recv_reply(drive, &rx)? {
+            Ok(observed) => Ok(DigestOutcome::Hit(observed)),
+            Err((ErrorCode::CacheMiss, _)) => Ok(DigestOutcome::Miss),
+            Err((code, message)) => {
                 let err = map_error(code, message);
                 event.fail(err.clone());
                 Err(err)
             }
-            // The reactor already failed the event via `fail_pending`.
-            Err(_) => Err(ClError::TransportFailure(
-                "connection thread gone".to_string(),
-            )),
         }
     }
 }
@@ -339,25 +341,42 @@ impl Backend for RemoteBackend {
             }
             _ => None,
         };
-        if let Some((tracker, digest, len)) = digest {
-            if tracker.holds(digest) {
-                match self.try_digest_write(queue, buffer, offset, digest, len, &event)? {
-                    DigestOutcome::Hit(observed) => {
-                        // Zero payload bytes on the wire; the caller pays
-                        // one control round trip instead of staging.
-                        self.clock.advance_to(observed);
-                        if blocking {
-                            self.conn
-                                .cast(Request::Flush { queue: queue.0 }, observed)?;
-                            event.wait()?;
-                        }
-                        return Ok(event);
+        let held = match digest {
+            Some((tracker, digest, len)) if tracker.holds(digest) => Some((tracker, digest, len)),
+            _ => None,
+        };
+        // Anything this call blocks on is dispatched here when the role is
+        // free: the digest verdict, and the completion of a blocking write.
+        let drive = if blocking || held.is_some() {
+            self.conn.drive()
+        } else {
+            None
+        };
+        if let Some((tracker, digest, len)) = held {
+            match self.try_digest_write(
+                queue,
+                buffer,
+                offset,
+                digest,
+                len,
+                &event,
+                drive.as_ref(),
+            )? {
+                DigestOutcome::Hit(observed) => {
+                    // Zero payload bytes on the wire; the caller pays one
+                    // control round trip instead of staging.
+                    self.clock.advance_to(observed);
+                    if blocking {
+                        self.conn
+                            .cast(Request::Flush { queue: queue.0 }, observed)?;
+                        wait_event(drive.as_ref(), &event)?;
                     }
-                    DigestOutcome::Miss => {
-                        // Stale tracker entry — the manager evicted since
-                        // we last sent. Degrade to one inline (re)send.
-                        tracker.forget(digest);
-                    }
+                    return Ok(event);
+                }
+                DigestOutcome::Miss => {
+                    // Stale tracker entry — the manager evicted since we
+                    // last sent. Degrade to one inline (re)send.
+                    tracker.forget(digest);
                 }
             }
         }
@@ -381,11 +400,10 @@ impl Backend for RemoteBackend {
             ready,
             event.clone(),
             region,
-            None,
         )?;
         if blocking {
             self.conn.cast(Request::Flush { queue: queue.0 }, ready)?;
-            event.wait()?;
+            wait_event(drive.as_ref(), &event)?;
         }
         Ok(event)
     }
@@ -401,6 +419,7 @@ impl Backend for RemoteBackend {
         let event = Event::new(CommandType::ReadBuffer, self.clock.now());
         event.attach_clock(self.clock.clone());
         let sent = self.pipeline_now();
+        let drive = if blocking { self.conn.drive() } else { None };
         self.conn.submit_op(
             Request::EnqueueRead {
                 queue: queue.0,
@@ -411,11 +430,10 @@ impl Backend for RemoteBackend {
             sent,
             event.clone(),
             None,
-            Some(len),
         )?;
         if blocking {
             self.conn.cast(Request::Flush { queue: queue.0 }, sent)?;
-            event.wait()?;
+            wait_event(drive.as_ref(), &event)?;
         }
         Ok(event)
     }
@@ -432,7 +450,6 @@ impl Backend for RemoteBackend {
             },
             sent,
             event.clone(),
-            None,
             None,
         )?;
         Ok(event)
@@ -462,7 +479,6 @@ impl Backend for RemoteBackend {
             sent,
             event.clone(),
             None,
-            None,
         )?;
         Ok(event)
     }
@@ -478,7 +494,6 @@ impl Backend for RemoteBackend {
             Request::Finish { queue: queue.0 },
             sent,
             event.clone(),
-            None,
             None,
         )?;
         Ok(event)

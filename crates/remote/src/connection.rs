@@ -1,8 +1,20 @@
 //! The client-side connection: request sending and tag → event dispatch
-//! (paper Fig. 2, steps 3–6). Completion pulling lives in the shared
-//! [`Reactor`](crate::Reactor), which multiplexes every connection's
-//! bounded completion stream on one dispatcher thread and calls back into
-//! [`handle_response`] here.
+//! (paper Fig. 2, steps 3–6).
+//!
+//! Completion frames are dispatched through [`handle_response`] by
+//! whichever thread holds the connection's **dispatch role**:
+//!
+//! * a caller about to block on its own reply takes the role (and claims
+//!   the completion stream) *before* sending, then pops and dispatches
+//!   frames itself until its reply lands ([`Drive`]) — no other thread is
+//!   woken on the way back;
+//! * otherwise the shared [`Reactor`](crate::Reactor) takes it for one
+//!   batch: asynchronous events, completion callbacks, fire-and-forget
+//!   acks, and whatever a driving caller leaves behind.
+//!
+//! A caller that finds the role taken (the reactor mid-batch, or another
+//! thread driving) waits on its event or one-shot as before; the holder
+//! dispatches its reply.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -12,8 +24,8 @@ use bf_fpga::Payload;
 use bf_model::{VirtualDuration, VirtualTime};
 use bf_ocl::{ClError, ClResult, Event};
 use bf_rpc::{
-    ClientId, DataRef, ErrorCode, PathCosts, Request, RequestEnvelope, Response, ResponseEnvelope,
-    ShmSegment,
+    ClientId, CodecError, DataRef, ErrorCode, FrameRx, PathCosts, Request, RequestEnvelope,
+    Response, ResponseEnvelope, ShmSegment, WireDecode,
 };
 // bf-lint: allow(raw_sync): one-shot rendezvous channels pairing a blocked
 // sync caller with its response; created fresh per call, never contended
@@ -21,7 +33,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::reactor::Reactor;
 use crate::state_machine::OpStateMachine;
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::Mutex;
 
 /// Digests remembered per connection. Deliberately generous next to a
@@ -29,7 +41,7 @@ use crate::sync::Mutex;
 /// `CacheMiss` round trip, a forgotten one costs a full payload send.
 const TRACKER_ENTRIES: usize = 1024;
 
-/// What the connection thread should do with a tagged response.
+/// What the dispatching thread should do with a tagged response.
 enum Pending {
     /// Forward the first response to a blocked caller (sync methods).
     Sync(Sender<ResponseEnvelope>),
@@ -47,8 +59,6 @@ struct OpPending {
     machine: OpStateMachine,
     /// Shm region to release once the manager consumed a write payload.
     write_region: Option<u64>,
-    /// Expected read length (reads only), for cost accounting.
-    read_len: Option<u64>,
     /// One-shot verdict channel for acked submissions ([`Connection::
     /// submit_op_acked`]): `Ok(observed)` on `Enqueued`, the error pair on
     /// a NACK. While armed, a manager error is *not* applied to the event
@@ -70,14 +80,44 @@ pub(crate) struct ConnectionInner {
     /// Digests the manager's payload cache is believed to hold; present
     /// only when the endpoint advertised a cache.
     tracker: Option<DigestTracker>,
+    /// This connection's completion-stream tap.
+    completions: FrameRx,
+    /// The dispatch role: only its holder pops completion frames.
+    dispatching: AtomicBool,
+    /// Frames dispatched by a blocked caller ([`Drive`]).
+    direct_dispatches: AtomicU64,
+    /// Frames dispatched by the reactor.
+    reactor_dispatches: AtomicU64,
+}
+
+impl ConnectionInner {
+    /// Takes the dispatch role if nobody holds it (test-and-set: a held
+    /// role stays held).
+    fn try_take_role(&self) -> bool {
+        !self.dispatching.swap(true, Ordering::SeqCst)
+    }
+
+    fn give_up_role(&self) {
+        self.dispatching.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Who dispatched a connection's completion frames so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchStats {
+    /// Frames popped and dispatched by a caller blocked on this
+    /// connection: its reply reached it with no thread handoff.
+    pub direct: u64,
+    /// Frames dispatched by the shared reactor thread.
+    pub reactor: u64,
 }
 
 /// A live connection to one Device Manager.
 ///
-/// Cloning shares the connection. The shared [`Reactor`] pulls tagged
-/// responses from the completion stream and either wakes a blocked
-/// synchronous caller or advances the matching operation's state machine
-/// and OpenCL event.
+/// Cloning shares the connection. Tagged responses are pulled from the
+/// completion stream either by the caller blocked on them or by the
+/// shared [`Reactor`]; either way they wake a blocked synchronous caller
+/// or advance the matching operation's state machine and OpenCL event.
 #[derive(Clone)]
 pub struct Connection {
     inner: Arc<ConnectionInner>,
@@ -96,19 +136,48 @@ impl Connection {
     pub fn with_reactor(reactor: &Reactor, endpoint: bf_devmgr::ManagerEndpoint) -> Self {
         let inner = Arc::new(ConnectionInner {
             client: endpoint.client,
-            channel: endpoint.channel,
             costs: endpoint.costs,
             shm: endpoint.shm,
             pending: Mutex::new(HashMap::new()),
             next_tag: AtomicU64::new(1),
             tracker: endpoint.cache.then(|| DigestTracker::new(TRACKER_ENTRIES)),
+            completions: endpoint.channel.completions(),
+            channel: endpoint.channel,
+            dispatching: AtomicBool::new(false),
+            direct_dispatches: AtomicU64::new(0),
+            reactor_dispatches: AtomicU64::new(0),
         });
         // The reactor gets a non-owning tap plus a Weak backref, so this
         // connection's lifetime stays with its callers: dropping the last
         // handle drops the request sender, which is what tells the manager
         // to reap the session.
-        reactor.register(inner.channel.completions(), Arc::downgrade(&inner));
+        reactor.register(inner.completions.clone(), Arc::downgrade(&inner));
         Connection { inner }
+    }
+
+    /// Counts of completion frames dispatched on this connection, by who
+    /// dispatched them.
+    pub fn dispatch_stats(&self) -> DispatchStats {
+        DispatchStats {
+            direct: self.inner.direct_dispatches.load(Ordering::Relaxed),
+            reactor: self.inner.reactor_dispatches.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Takes the dispatch role for a caller about to block on this
+    /// connection, or `None` when another thread holds it. Must be called
+    /// before the request goes out, so no reply can slip past the claim.
+    pub(crate) fn drive(&self) -> Option<Drive<'_>> {
+        // Claim first: from here on pushes skip the reactor, and the
+        // queue reads as not ready, so the reactor cannot spin on frames
+        // that a role holder is about to pop.
+        self.inner.completions.claim();
+        if self.inner.try_take_role() {
+            Some(Drive { inner: &self.inner })
+        } else {
+            self.inner.completions.release();
+            None
+        }
     }
 
     /// The session id on the manager.
@@ -143,13 +212,12 @@ impl Connection {
     ///
     /// Transport failures and manager-side errors map to [`ClError`].
     pub fn call(&self, body: Request, sent_at: VirtualTime) -> ClResult<(Response, VirtualTime)> {
+        let drive = self.drive();
         let tag = self.fresh_tag();
         let (tx, rx) = bounded(1);
         self.inner.pending.lock().insert(tag, Pending::Sync(tx));
         self.send(tag, body, sent_at)?;
-        let resp = rx
-            .recv()
-            .map_err(|_| ClError::TransportFailure("connection thread gone".to_string()))?;
+        let resp = recv_reply(drive.as_ref(), &rx)?;
         let observed = resp.sent_at + self.inner.costs.control_hop();
         match resp.body {
             Response::Error { code, message } => Err(map_error(code, message)),
@@ -164,13 +232,12 @@ impl Connection {
     ///
     /// Transport failures and manager-side errors map to [`ClError`].
     pub fn fence(&self, queue: u64, sent_at: VirtualTime) -> ClResult<VirtualTime> {
+        let drive = self.drive();
         let tag = self.fresh_tag();
         let (tx, rx) = bounded(1);
         self.inner.pending.lock().insert(tag, Pending::Fence(tx));
         self.send(tag, Request::Finish { queue }, sent_at)?;
-        let resp = rx
-            .recv()
-            .map_err(|_| ClError::TransportFailure("connection thread gone".to_string()))?;
+        let resp = recv_reply(drive.as_ref(), &rx)?;
         let observed = resp.sent_at + self.inner.costs.control_hop();
         match resp.body {
             Response::Error { code, message } => Err(map_error(code, message)),
@@ -190,8 +257,8 @@ impl Connection {
     }
 
     /// Sends an asynchronous command-queue operation tracked by `event`.
-    /// The connection thread drives the event through the Fig. 2 state
-    /// machine as responses arrive.
+    /// Whichever thread dispatches the responses drives the event through
+    /// the Fig. 2 state machine as they arrive.
     ///
     /// # Errors
     ///
@@ -202,7 +269,6 @@ impl Connection {
         sent_at: VirtualTime,
         event: Event,
         write_region: Option<u64>,
-        read_len: Option<u64>,
     ) -> ClResult<()> {
         let tag = self.fresh_tag();
         let machine = OpStateMachine::new(event.command());
@@ -212,7 +278,6 @@ impl Connection {
                 event,
                 machine,
                 write_region,
-                read_len,
                 ack: None,
             })),
         );
@@ -244,7 +309,6 @@ impl Connection {
                 event,
                 machine,
                 write_region: None,
-                read_len: None,
                 ack: Some(tx),
             })),
         );
@@ -277,9 +341,109 @@ impl std::fmt::Debug for Connection {
     }
 }
 
-/// Dispatches one tagged response pulled by the reactor: retrieves the
-/// corresponding event (Fig. 2 step 5), then advances its state machine
-/// and OpenCL status (step 6).
+/// The dispatch role held by a caller blocked on its own connection, plus
+/// its claim on the completion stream (see [`Connection::drive`]).
+pub(crate) struct Drive<'a> {
+    inner: &'a Arc<ConnectionInner>,
+}
+
+impl Drive<'_> {
+    /// Pops and dispatches completion frames on the calling thread until
+    /// `done` holds, including frames of other in-flight operations on the
+    /// connection. A closed stream fails every outstanding operation
+    /// ([`fail_pending`]) and returns, so the caller's own wait then
+    /// reports the failure instead of hanging.
+    pub(crate) fn until(&self, done: impl Fn() -> bool) {
+        while !done() {
+            match self.inner.completions.recv_frame() {
+                Ok(frame) => dispatch_frame(
+                    self.inner,
+                    ResponseEnvelope::from_bytes(frame),
+                    &self.inner.direct_dispatches,
+                ),
+                Err(_) => {
+                    fail_pending(self.inner);
+                    return;
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Drive<'_> {
+    fn drop(&mut self) {
+        // Role first, claim second. Releasing the claim re-bumps the
+        // reactor for any frame left queued; the role must already be free
+        // by then, so the woken reactor can take it instead of skipping.
+        self.inner.give_up_role();
+        self.inner.completions.release();
+    }
+}
+
+/// The reactor's turn on one ready connection: unless a blocked caller
+/// holds the dispatch role (it hands leftovers back when it lets go),
+/// pops and dispatches up to `batch` frames. Returns whether the stream
+/// has closed, after failing every outstanding operation.
+pub(crate) fn reactor_dispatch(inner: &Arc<ConnectionInner>, batch: usize) -> bool {
+    if !inner.try_take_role() {
+        return false;
+    }
+    let mut closed = false;
+    for _ in 0..batch {
+        match inner.completions.try_recv_frame() {
+            Ok(Some(frame)) => dispatch_frame(
+                inner,
+                ResponseEnvelope::from_bytes(frame),
+                &inner.reactor_dispatches,
+            ),
+            Ok(None) => break,
+            Err(_) => {
+                fail_pending(inner);
+                closed = true;
+                break;
+            }
+        }
+    }
+    inner.give_up_role();
+    closed
+}
+
+/// Dispatches one decoded completion frame, counting it against `by`.
+/// Malformed frames are dropped; the connection stays up.
+fn dispatch_frame(
+    inner: &Arc<ConnectionInner>,
+    decoded: Result<ResponseEnvelope, CodecError>,
+    by: &AtomicU64,
+) {
+    if let Ok(resp) = decoded {
+        by.fetch_add(1, Ordering::Relaxed);
+        handle_response(inner, resp);
+    }
+}
+
+/// Waits for a one-shot reply, dispatching completions on this thread
+/// while `drive` holds the role.
+pub(crate) fn recv_reply<T>(drive: Option<&Drive<'_>>, rx: &Receiver<T>) -> ClResult<T> {
+    if let Some(drive) = drive {
+        drive.until(|| !rx.is_empty());
+    }
+    rx.recv().map_err(|_| {
+        ClError::TransportFailure("completion stream closed before the reply".to_string())
+    })
+}
+
+/// Waits for `event` to turn terminal, dispatching completions on this
+/// thread while `drive` holds the role.
+pub(crate) fn wait_event(drive: Option<&Drive<'_>>, event: &Event) -> ClResult<()> {
+    if let Some(drive) = drive {
+        drive.until(|| event.status().is_terminal());
+    }
+    event.wait()
+}
+
+/// Dispatches one tagged response: retrieves the corresponding event
+/// (Fig. 2 step 5), then advances its state machine and OpenCL status
+/// (step 6).
 pub(crate) fn handle_response(inner: &Arc<ConnectionInner>, resp: ResponseEnvelope) {
     let mut pending = inner.pending.lock();
     match pending.remove(&resp.tag) {
@@ -310,8 +474,8 @@ pub(crate) fn handle_response(inner: &Arc<ConnectionInner>, resp: ResponseEnvelo
     }
 }
 
-/// Called by the reactor when the completion stream closes (manager gone):
-/// fails every outstanding operation.
+/// Called by the dispatching thread when the completion stream closes
+/// (manager gone): fails every outstanding operation.
 pub(crate) fn fail_pending(inner: &Arc<ConnectionInner>) {
     let mut pending = inner.pending.lock();
     for (_, entry) in pending.drain() {
@@ -388,7 +552,6 @@ fn advance_op(inner: &Arc<ConnectionInner>, op: &mut OpPending, resp: ResponseEn
                     }
                 }
             };
-            let _ = op.read_len;
             if let Some(region) = op.write_region.take() {
                 if let Some(shm) = inner.shm.as_ref() {
                     let _ = shm.free(region);

@@ -7,9 +7,10 @@
 //!
 //! * the [`Router`] keeps the list of available platforms (managers) and
 //!   opens connections;
-//! * a shared [`Reactor`] thread multiplexes every connection's bounded
-//!   completion stream through one poller, pulling tagged responses and
-//!   retrieving the matching event;
+//! * a caller blocked on its own reply pulls the connection's tagged
+//!   responses itself and retrieves the matching events; a shared
+//!   [`Reactor`] thread multiplexes every connection's bounded completion
+//!   stream through one poller for everything nobody is blocked on;
 //! * every asynchronous call is tracked by a Fig. 2 [`OpStateMachine`]
 //!   (`INIT → FIRST → BUFFER → COMPLETE`) that updates the OpenCL event
 //!   status as it advances, so `clWaitForEvents`-style polling works
@@ -37,7 +38,7 @@ mod state_machine;
 pub use bf_race::sync;
 
 pub use backend::RemoteBackend;
-pub use connection::{map_error, sync_rtt, Connection};
+pub use connection::{map_error, sync_rtt, Connection, DispatchStats};
 pub use reactor::Reactor;
 pub use router::Router;
 pub use state_machine::{MachineState, OpStateMachine};

@@ -1,11 +1,18 @@
 //! The client-side reactor: one dispatcher thread multiplexing every
 //! connection's completion stream.
 //!
-//! Replaces the old thread-per-connection puller. Each [`Connection`]
-//! registers its completion-stream tap ([`FrameRx`]) here; the reactor
-//! polls all taps through one [`Poller`] (round-robin fairness), decodes
-//! each tagged response and dispatches it on the owning connection
-//! (Fig. 2 steps 5–6).
+//! Each [`Connection`] registers its completion-stream tap ([`FrameRx`])
+//! here; the reactor polls all taps through one [`Poller`] (round-robin
+//! fairness), decodes each tagged response and dispatches it on the owning
+//! connection (Fig. 2 steps 5–6).
+//!
+//! The reactor is off the synchronous path: a caller blocked on its own
+//! reply claims the stream and dispatches it itself, and a claimed stream
+//! never wakes the reactor. What reaches the reactor is what nobody is
+//! blocked on — asynchronous events, completion callbacks, fire-and-forget
+//! acks — and the frames a driving caller leaves behind. It only ever
+//! *tries* to take a connection's dispatch role, skipping the connection
+//! while a caller holds it, so its loop never blocks on a caller.
 //!
 //! The reactor holds only a `Weak` reference to each connection, so a
 //! dropped `Connection` is not kept alive by its own completion stream:
@@ -18,7 +25,7 @@
 
 use std::sync::{OnceLock, Weak};
 
-use bf_rpc::{FrameRx, PollEvent, Poller, ResponseEnvelope, Token, Waker, WireDecode};
+use bf_rpc::{FrameRx, PollEvent, Poller, Token, Waker};
 // bf-lint: allow(raw_sync): control-plane channel into the reactor loop;
 // only try_recv'd after a modeled waker readiness edge
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
@@ -99,7 +106,7 @@ impl std::fmt::Debug for Reactor {
 
 // bf-flow: entry(remote_reactor)
 fn reactor_thread(control_rx: Receiver<Control>, mut poller: Poller, wake_token: Token) {
-    let mut conns: std::collections::HashMap<Token, (FrameRx, Weak<ConnectionInner>)> =
+    let mut conns: std::collections::HashMap<Token, Weak<ConnectionInner>> =
         std::collections::HashMap::new();
     let mut control_open = true;
     loop {
@@ -111,11 +118,11 @@ fn reactor_thread(control_rx: Receiver<Control>, mut poller: Poller, wake_token:
             PollEvent::Ready(token) if token == wake_token => loop {
                 match control_rx.try_recv() {
                     Ok(Control::Register { frames, conn }) => {
-                        let token = poller.register(frames.clone());
+                        let token = poller.register(frames);
                         // bf-flow: allow(hot_alloc): one entry per live
                         // connection, forgotten when its stream closes —
                         // bounded by connection count, not by traffic
-                        conns.insert(token, (frames, conn));
+                        conns.insert(token, conn);
                     }
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
@@ -126,37 +133,14 @@ fn reactor_thread(control_rx: Receiver<Control>, mut poller: Poller, wake_token:
                 }
             },
             PollEvent::Ready(token) => {
-                let mut dead = false;
-                if let Some((frames, weak)) = conns.get(&token) {
-                    for _ in 0..FRAME_BATCH {
-                        match frames.try_recv_frame() {
-                            Ok(Some(frame)) => match weak.upgrade() {
-                                Some(inner) => {
-                                    // Malformed frames are dropped; the
-                                    // connection stays up.
-                                    if let Ok(resp) = ResponseEnvelope::from_bytes(frame) {
-                                        connection::handle_response(&inner, resp);
-                                    }
-                                }
-                                None => {
-                                    dead = true;
-                                    break;
-                                }
-                            },
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Manager gone: fail outstanding operations
-                                // on the connection, if anyone still holds
-                                // it, and forget the slot.
-                                if let Some(inner) = weak.upgrade() {
-                                    connection::fail_pending(&inner);
-                                }
-                                dead = true;
-                                break;
-                            }
-                        }
-                    }
-                }
+                let dead = match conns.get(&token).map(Weak::upgrade) {
+                    None => false,
+                    // Every handle is gone: nobody can wait on the stream.
+                    Some(None) => true,
+                    // A closed stream (manager gone) has failed the
+                    // connection's outstanding operations; forget the slot.
+                    Some(Some(inner)) => connection::reactor_dispatch(&inner, FRAME_BATCH),
+                };
                 if dead {
                     poller.deregister(token);
                     conns.remove(&token);

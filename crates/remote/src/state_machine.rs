@@ -1,7 +1,8 @@
 //! Per-operation event state machines (paper Fig. 2).
 //!
-//! Every asynchronous OpenCL call is tracked by a small state machine the
-//! connection thread advances as tagged responses arrive:
+//! Every asynchronous OpenCL call is tracked by a small state machine that
+//! the dispatching thread (the reactor, or a blocked caller driving its
+//! connection) advances as tagged responses arrive:
 //!
 //! * **INIT** — the call metadata has been sent to the Device Manager;
 //! * **FIRST** — the manager acknowledged the command entering the

@@ -428,6 +428,37 @@ mod tests {
     }
 
     #[test]
+    fn a_claimed_stream_is_hidden_from_the_poller_until_released() {
+        let (client, server) = duplex_with_depth(4);
+        let rx = client.completions();
+        let mut poller = Poller::new();
+        let token = poller.register(rx.clone());
+        rx.claim();
+        server.send(&resp(1)).expect("send");
+        assert_eq!(
+            poller.poll(Some(Duration::from_millis(5))),
+            PollEvent::TimedOut,
+            "a push to a claimed stream bumps nobody but the claimant"
+        );
+        assert!(rx.recv_frame().is_ok(), "the claimant pops it");
+        // Left over at release time: re-raised for the poller.
+        server.send(&resp(2)).expect("send");
+        rx.release();
+        assert_eq!(poller.poll(None), PollEvent::Ready(token));
+        assert!(rx.try_recv_frame().expect("frame").is_some());
+        // A close during a claim is handed over the same way.
+        rx.claim();
+        drop(server);
+        assert_eq!(
+            poller.poll(Some(Duration::from_millis(5))),
+            PollEvent::TimedOut
+        );
+        rx.release();
+        assert_eq!(poller.poll(None), PollEvent::Ready(token));
+        assert_eq!(rx.recv_frame(), Err(crate::TransportError::Closed));
+    }
+
+    #[test]
     fn deregistered_sources_are_ignored() {
         let (client, server) = duplex_with_depth(4);
         let mut poller = Poller::new();

@@ -15,6 +15,12 @@
 //! direction can additionally be tapped through a [`FrameRx`] and plugged
 //! into a [`crate::Poller`], which is how one dispatcher thread multiplexes
 //! many connections.
+//!
+//! A tap can also be **claimed** by a thread that is about to block on the
+//! stream itself ([`FrameRx::claim`]). While any claim is held, pushes wake
+//! only the claimant (blocked in [`FrameRx::recv_frame`]) and skip the
+//! poller, and the queue reports itself not ready; [`FrameRx::release`]
+//! hands whatever is left back to the poller.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -81,6 +87,20 @@ struct QueueState {
     /// Poller notification hook: bumped on push and on sender close,
     /// carrying the queue's slot index within its poller.
     watch: Option<(Arc<NotifyHub>, usize)>,
+    /// Outstanding [`FrameRx::claim`]s. While non-zero the poller is
+    /// neither bumped nor shown the queue as ready.
+    claims: usize,
+}
+
+impl QueueState {
+    /// The poller hook to bump now, if the queue is unclaimed.
+    fn unclaimed_watch(&self) -> Option<(Arc<NotifyHub>, usize)> {
+        if self.claims == 0 {
+            self.watch.clone()
+        } else {
+            None
+        }
+    }
 }
 
 /// One bounded direction of a duplex connection, built directly on
@@ -103,6 +123,7 @@ impl FrameQueue {
                 senders: 1,
                 receivers: 1,
                 watch: None,
+                claims: 0,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -124,7 +145,7 @@ impl FrameQueue {
             self.writable.wait(&mut q);
         }
         q.items.push_back(frame);
-        let watch = q.watch.clone();
+        let watch = q.unclaimed_watch();
         drop(q);
         self.readable.notify_one();
         if let Some((hub, idx)) = watch {
@@ -181,10 +202,28 @@ impl FrameQueue {
     }
 
     /// Receive-readiness: a pending frame, or a closed sender side (so a
-    /// poller consumer observes `Closed` instead of blocking forever).
+    /// poller consumer observes `Closed` instead of blocking forever). A
+    /// claimed queue is never ready: its claimant consumes it.
     fn ready(&self) -> bool {
         let q = self.frames.lock();
-        !q.items.is_empty() || q.senders == 0
+        q.claims == 0 && (!q.items.is_empty() || q.senders == 0)
+    }
+
+    fn claim(&self) {
+        self.frames.lock().claims += 1;
+    }
+
+    fn release(&self) {
+        let mut q = self.frames.lock();
+        q.claims = q.claims.saturating_sub(1);
+        let leftover = !q.items.is_empty() || q.senders == 0;
+        let watch = if leftover { q.unclaimed_watch() } else { None };
+        drop(q);
+        // The pushes (or the close) that landed while claimed bumped
+        // nobody: re-raise the edge so the poller picks up the rest.
+        if let Some((hub, idx)) = watch {
+            hub.bump(idx);
+        }
     }
 
     fn set_watch(&self, hub: Arc<NotifyHub>, idx: usize) {
@@ -238,7 +277,7 @@ impl Drop for TxHalf {
         let mut q = self.q.frames.lock();
         q.senders -= 1;
         let closed = q.senders == 0;
-        let watch = if closed { q.watch.clone() } else { None };
+        let watch = if closed { q.unclaimed_watch() } else { None };
         drop(q);
         if closed {
             self.q.readable.notify_all();
@@ -293,6 +332,32 @@ impl FrameRx {
     /// every sender is gone.
     pub fn try_recv_frame(&self) -> Result<Option<Bytes>, TransportError> {
         self.q.try_pop()
+    }
+
+    /// Blocking raw-frame receive, for a thread holding a
+    /// [`claim`](Self::claim): a push wakes it directly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::Closed`] once the queue is drained and
+    /// every sender is gone.
+    pub fn recv_frame(&self) -> Result<Bytes, TransportError> {
+        self.q.pop()
+    }
+
+    /// Takes the stream away from its poller: until the matching
+    /// [`release`](Self::release), pushes and the sender close wake only
+    /// threads blocked in [`recv_frame`](Self::recv_frame), and the poller
+    /// sees the queue as not ready. Claims nest.
+    pub fn claim(&self) {
+        self.q.claim();
+    }
+
+    /// Drops one [`claim`](Self::claim). When the last claim goes and
+    /// frames, or a closed sender, are left, the poller is bumped so
+    /// nothing pushed during the claim is stranded.
+    pub fn release(&self) {
+        self.q.release();
     }
 
     pub(crate) fn ready(&self) -> bool {
