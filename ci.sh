@@ -82,10 +82,14 @@ cargo run -q --release -p bf-bench --bin federation -- --smoke --check experimen
 echo "==> perfbench determinism tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-# Virtual-time conformance: the data-path refactor must never move the
-# paper's Fig. 4(a) numbers — regenerate and require byte-identical JSON.
-echo "==> fig4a virtual-time check"
+# Virtual-time conformance: no change may move the paper's Fig. 4
+# numbers — regenerate all three panels and require byte-identical JSON.
+echo "==> fig4a/b/c virtual-time check"
 cargo run -q --release -p bf-bench --bin fig4a > /dev/null
 cmp target/experiments/fig4a.json experiments/fig4a.json
+cargo run -q --release -p bf-bench --bin fig4b > /dev/null
+cmp target/experiments/fig4b.json experiments/fig4b.json
+cargo run -q --release -p bf-bench --bin fig4c > /dev/null
+cmp target/experiments/fig4c.json experiments/fig4c.json
 
 echo "ci.sh: all gates passed"

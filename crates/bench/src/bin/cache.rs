@@ -1,70 +1,10 @@
 //! Content-addressed payload-cache sweep: wire bytes per request with
 //! and without the Device Manager's cache under Zipf(1.2) payload reuse.
 //!
-//! Usage:
-//!
-//! * `cache` — full ladder (hot/churn/big), writes
-//!   `target/experiments/BENCH_cache.json`.
-//! * `cache --smoke` — CI subset (hot + churn; their rows are directly
-//!   comparable to the archive).
-//! * `cache [--smoke] --check <archived.json>` — additionally compares
-//!   every deterministic field against an archived run and exits
-//!   non-zero on drift.
+//! Usage: `cache [--smoke] [--check <archived.json>]`, as documented on
+//! [`bf_bench::Ladder::run_cli`]. The full ladder is hot/churn/big;
+//! `--smoke` runs hot + churn.
 
-use std::process::ExitCode;
-
-use bf_bench::{
-    cache_rows, check_cache_archive, check_cache_invariants, parse_cache_archive, render_cache,
-    save_json, CACHE_LADDER, CACHE_SMOKE,
-};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let labels: &[&str] = if smoke { &CACHE_SMOKE } else { &CACHE_LADDER };
-    let rows = cache_rows(labels);
-    print!(
-        "{}",
-        render_cache(
-            "Cache — content-addressed payload cache (Zipf(1.2) reuse, gRPC path)",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_cache", &rows);
-        println!("\nJSON artifact: {}", path.display());
-    }
-
-    if let Err(msg) = check_cache_invariants(&rows) {
-        eprintln!("cache invariant violated: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived cache JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived cache JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_cache_archive(&doc).expect("archived cache JSON shape");
-        let mismatches = check_cache_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("cache sweep drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("cache sweep matches {path}");
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    bf_bench::CACHE.run_cli()
 }

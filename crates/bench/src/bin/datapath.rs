@@ -1,63 +1,10 @@
 //! Measures host-side copy volume and wall-clock per EnqueueWrite→Read
 //! round trip over both BlastFunction transports.
 //!
-//! Usage:
-//!
-//! * `datapath` — full 1 KB → 2 GB ladder, writes
-//!   `target/experiments/BENCH_datapath.json`.
-//! * `datapath --smoke` — CI subset (sizes ≤ 1 MB).
-//! * `datapath [--smoke] --check <archived.json>` — additionally compares
-//!   the deterministic copy-accounting fields against an archived run and
-//!   exits non-zero on drift.
+//! Usage: `datapath [--smoke] [--check <archived.json>]`, as documented
+//! on [`bf_bench::Ladder::run_cli`]. The full ladder runs 1 KB → 2 GB;
+//! `--smoke` runs the sizes ≤ 1 MB.
 
-use std::process::ExitCode;
-
-use bf_bench::{
-    check_against_archive, datapath_rows, parse_archive, render_datapath, save_json, LADDER, SMOKE,
-};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let sizes: &[u64] = if smoke { &SMOKE } else { &LADDER };
-    let rows = datapath_rows(sizes);
-    print!(
-        "{}",
-        render_datapath(
-            "Datapath — host bytes memcpy'd and wall-clock per write+read round trip",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_datapath", &rows);
-        println!("\nJSON artifact: {}", path.display());
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived datapath JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived datapath JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_archive(&doc).expect("archived datapath JSON shape");
-        let mismatches = check_against_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("datapath copy accounting drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("copy accounting matches {path}");
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    bf_bench::DATAPATH.run_cli()
 }

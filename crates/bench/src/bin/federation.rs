@@ -1,74 +1,12 @@
 //! The federated control-plane ladder: the production-day placement
 //! workload at 1, 4 and 16 registry shards, fully deterministic.
 //!
-//! Usage:
-//!
-//! * `federation` — full ladder (smoke points plus 1/4/16-shard
-//!   production days), writes `target/experiments/BENCH_federation.json`.
-//! * `federation --smoke` — CI subset (both 100-node points, so the
-//!   1-vs-16-shard contention gate still runs).
-//! * `federation [--smoke] --check <archived.json>` — additionally
-//!   compares every deterministic field — trace digest included —
-//!   against an archived run and exits non-zero on drift.
+//! Usage: `federation [--smoke] [--check <archived.json>]`, as documented
+//! on [`bf_bench::Ladder::run_cli`]. The full ladder adds the 1/4/16-shard
+//! production days to the two 100-node smoke points; `--smoke` runs both
+//! smoke points, so the 1-vs-16-shard contention gate still runs. The
+//! trace digest is pinned.
 
-use std::process::ExitCode;
-
-use bf_bench::{
-    check_federation_archive, check_federation_invariants, federation_rows,
-    parse_federation_archive, render_federation, save_json, FEDERATION_LADDER, FEDERATION_SMOKE,
-};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let labels: &[&str] = if smoke {
-        &FEDERATION_SMOKE
-    } else {
-        &FEDERATION_LADDER
-    };
-    let rows = federation_rows(labels);
-    print!(
-        "{}",
-        render_federation(
-            "Federation — sharded control plane (placement storm, churn, failures, rebalance)",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_federation", &rows);
-        println!("\nJSON artifact: {}", path.display());
-    }
-
-    if let Err(msg) = check_federation_invariants(&rows) {
-        eprintln!("federation invariant violated: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived federation JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived federation JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_federation_archive(&doc).expect("archived federation JSON shape");
-        let mismatches = check_federation_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("federation ladder drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("federation ladder matches {path}");
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    bf_bench::FEDERATION.run_cli()
 }

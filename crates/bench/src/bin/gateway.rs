@@ -1,75 +1,11 @@
 //! Open-loop arrival-rate sweep of the gateway's batched vs unbatched
 //! invocation queues (virtual time; fully deterministic).
 //!
-//! Usage:
-//!
-//! * `gateway` — full rate ladder, writes
-//!   `target/experiments/BENCH_gateway.json`.
-//! * `gateway --smoke` — CI subset (same virtual duration, so rows are
-//!   directly comparable to the archive).
-//! * `gateway [--smoke] --check <archived.json>` — additionally compares
-//!   every deterministic field against an archived run, re-asserts that
-//!   batched peak throughput strictly beats unbatched, and exits
-//!   non-zero on drift.
+//! Usage: `gateway [--smoke] [--check <archived.json>]`, as documented on
+//! [`bf_bench::Ladder::run_cli`]. The smoke rates run the same virtual
+//! duration, so their rows compare directly to the archive. Every run
+//! re-asserts that batched peak throughput strictly beats unbatched.
 
-use std::process::ExitCode;
-
-use bf_bench::{
-    check_batching_wins, check_gateway_archive, gateway_rows, parse_gateway_archive,
-    render_gateway, save_json, GATEWAY_LADDER, GATEWAY_SMOKE,
-};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let rates: &[f64] = if smoke {
-        &GATEWAY_SMOKE
-    } else {
-        &GATEWAY_LADDER
-    };
-    let rows = gateway_rows(rates);
-    print!(
-        "{}",
-        render_gateway(
-            "Gateway — open-loop Sobel sweep, batched vs unbatched invocation queues",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_gateway", &rows);
-        println!("\nJSON artifact: {}", path.display());
-    }
-
-    if let Err(msg) = check_batching_wins(&rows) {
-        eprintln!("batching regression: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived gateway JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived gateway JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_gateway_archive(&doc).expect("archived gateway JSON shape");
-        let mismatches = check_gateway_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("gateway sweep drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("gateway sweep matches {path}");
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    bf_bench::GATEWAY.run_cli()
 }

@@ -2,70 +2,10 @@
 //! function popularity over a 1000-node cluster, full fault battery,
 //! everything in virtual time and fully deterministic.
 //!
-//! Usage:
-//!
-//! * `scale` — full ladder (small/medium/large), writes
-//!   `target/experiments/BENCH_scale.json`.
-//! * `scale --smoke` — CI subset (the small point; its row is directly
-//!   comparable to the archive).
-//! * `scale [--smoke] --check <archived.json>` — additionally compares
-//!   every deterministic field — trace digest included — against an
-//!   archived run and exits non-zero on drift.
+//! Usage: `scale [--smoke] [--check <archived.json>]`, as documented on
+//! [`bf_bench::Ladder::run_cli`]. The full ladder is small/medium/large;
+//! `--smoke` runs the small point. The trace digest is pinned.
 
-use std::process::ExitCode;
-
-use bf_bench::{
-    check_scale_archive, check_scale_invariants, parse_scale_archive, render_scale, save_json,
-    scale_rows, SCALE_LADDER, SCALE_SMOKE,
-};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let labels: &[&str] = if smoke { &SCALE_SMOKE } else { &SCALE_LADDER };
-    let rows = scale_rows(labels);
-    print!(
-        "{}",
-        render_scale(
-            "Scale — production-day sweep (diurnal Zipf traffic, full fault battery)",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_scale", &rows);
-        println!("\nJSON artifact: {}", path.display());
-    }
-
-    if let Err(msg) = check_scale_invariants(&rows) {
-        eprintln!("scale invariant violated: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived scale JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived scale JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_scale_archive(&doc).expect("archived scale JSON shape");
-        let mismatches = check_scale_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("scale sweep drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("scale sweep matches {path}");
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    bf_bench::SCALE.run_cli()
 }

@@ -32,6 +32,8 @@ use bf_remote::Router;
 use bf_rpc::PathCosts;
 use bf_simkit::{SimRng, ZipfSampler};
 
+use crate::archive::Ladder;
+
 /// Root seed of the request stream (one fresh stream per measured row).
 pub const CACHE_SEED: u64 = 101;
 
@@ -44,6 +46,28 @@ pub const CACHE_LADDER: [&str; 3] = ["hot", "churn", "big"];
 /// The CI smoke subset (kept small so the gate stays cheap; `churn`
 /// stays in so eviction/NACK-resend accounting is CI-pinned too).
 pub const CACHE_SMOKE: [&str; 2] = ["hot", "churn"];
+
+/// The cache ladder: a `nocache` and a `cache` row per point, with the
+/// whole byte/hit/miss/eviction ledger pinned.
+pub const CACHE: Ladder<&str, CacheBenchRow> = Ladder {
+    name: "cache",
+    title: "Cache — content-addressed payload cache (Zipf(1.2) reuse, gRPC path)",
+    ladder: &CACHE_LADDER,
+    smoke: &CACHE_SMOKE,
+    rows: cache_rows,
+    render: render_cache,
+    invariants: check_cache_invariants,
+    key: &["label", "system"],
+    pinned: &[
+        "requests",
+        "offered_bytes",
+        "wire_bytes",
+        "hits",
+        "misses",
+        "evictions",
+        "device_hits",
+    ],
+};
 
 /// One ladder point's workload shape.
 #[derive(Debug, Clone, Copy)]
@@ -104,6 +128,7 @@ pub fn cache_point(label: &str) -> CachePoint {
 /// client session serializes operations, so hit/miss/eviction order is a
 /// pure function of the seeded request stream.
 #[derive(Debug, Clone, Serialize)]
+#[cfg_attr(test, derive(Default))]
 pub struct CacheBenchRow {
     /// Ladder label.
     pub label: String,
@@ -314,84 +339,6 @@ pub fn render_cache(title: &str, rows: &[CacheBenchRow]) -> String {
     out
 }
 
-/// One archived row (every field is deterministic, so all are compared).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchivedCacheRow {
-    /// Ladder label.
-    pub label: String,
-    /// System tag.
-    pub system: String,
-    /// Requests driven.
-    pub requests: u64,
-    /// Offered payload bytes.
-    pub offered_bytes: u64,
-    /// Inline wire bytes.
-    pub wire_bytes: u64,
-    /// Host-tier hits.
-    pub hits: u64,
-    /// Host-tier misses.
-    pub misses: u64,
-    /// Host-tier evictions.
-    pub evictions: u64,
-    /// Device-tier hits.
-    pub device_hits: u64,
-}
-
-/// Extracts the comparable fields from an archived `BENCH_cache.json`
-/// document. Returns `None` when the document does not have the expected
-/// shape.
-pub fn parse_cache_archive(doc: &serde_json::Value) -> Option<Vec<ArchivedCacheRow>> {
-    doc.as_array()?
-        .iter()
-        .map(|row| {
-            let obj = row.as_object()?;
-            Some(ArchivedCacheRow {
-                label: obj.get("label")?.as_str()?.to_string(),
-                system: obj.get("system")?.as_str()?.to_string(),
-                requests: obj.get("requests")?.as_u64()?,
-                offered_bytes: obj.get("offered_bytes")?.as_u64()?,
-                wire_bytes: obj.get("wire_bytes")?.as_u64()?,
-                hits: obj.get("hits")?.as_u64()?,
-                misses: obj.get("misses")?.as_u64()?,
-                evictions: obj.get("evictions")?.as_u64()?,
-                device_hits: obj.get("device_hits")?.as_u64()?,
-            })
-        })
-        .collect()
-}
-
-/// Compares `rows` against the matching rows of an archived run,
-/// returning mismatch descriptions (empty when consistent). Rows missing
-/// from the archive are ignored, so the `--smoke` subset checks cleanly
-/// against a full-ladder archive.
-pub fn check_cache_archive(rows: &[CacheBenchRow], archived: &[ArchivedCacheRow]) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    for r in rows {
-        let Some(a) = archived
-            .iter()
-            .find(|a| a.label == r.label && a.system == r.system)
-        else {
-            continue;
-        };
-        let mut diff = |field: &str, got: u64, want: u64| {
-            if got != want {
-                mismatches.push(format!(
-                    "{} {}: {field} {got} != archived {want}",
-                    r.label, r.system
-                ));
-            }
-        };
-        diff("requests", r.requests, a.requests);
-        diff("offered_bytes", r.offered_bytes, a.offered_bytes);
-        diff("wire_bytes", r.wire_bytes, a.wire_bytes);
-        diff("hits", r.hits, a.hits);
-        diff("misses", r.misses, a.misses);
-        diff("evictions", r.evictions, a.evictions);
-        diff("device_hits", r.device_hits, a.device_hits);
-    }
-    mismatches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,16 +369,10 @@ mod tests {
     fn hot_point_satisfies_the_invariants_and_round_trips() {
         let rows = cache_rows(&["hot"]);
         assert!(check_cache_invariants(&rows).is_ok(), "{rows:?}");
-        // bf-lint: allow(panic): test-only serialization of in-memory rows.
+        // The measured rows, not just hand-made ones, pass the shared gate.
         let json = serde_json::to_string_pretty(&rows).expect("serialize");
-        // bf-lint: allow(panic): the document was produced two lines up.
         let doc = serde_json::from_str(&json).expect("parse");
-        let archived = parse_cache_archive(&doc).expect("shape");
-        assert!(check_cache_archive(&rows, &archived).is_empty());
-        // A drifted archive is flagged.
-        let mut drifted = archived;
-        drifted[1].wire_bytes += 1;
-        assert_eq!(check_cache_archive(&rows, &drifted).len(), 1);
+        assert!(CACHE.check(&rows, &doc).is_empty());
     }
 
     #[test]

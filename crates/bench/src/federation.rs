@@ -14,12 +14,37 @@ use serde::Serialize;
 
 use bf_sim::{run_federation, FederationConfig};
 
+use crate::archive::Ladder;
+
 /// Ladder labels in sweep order.
 pub const FEDERATION_LADDER: [&str; 5] = ["smoke-1", "smoke-16", "1-shard", "4-shard", "16-shard"];
 
 /// The CI smoke subset: both 100-node points, so the smoke gate still
 /// compares 1 shard against 16.
 pub const FEDERATION_SMOKE: [&str; 2] = ["smoke-1", "smoke-16"];
+
+/// The federation ladder, trace digest included in the pins.
+pub const FEDERATION: Ladder<&str, FederationBenchRow> = Ladder {
+    name: "federation",
+    title: "Federation — sharded control plane (placement storm, churn, failures, rebalance)",
+    ladder: &FEDERATION_LADDER,
+    smoke: &FEDERATION_SMOKE,
+    rows: federation_rows,
+    render: render_federation,
+    invariants: check_federation_invariants,
+    key: &["label"],
+    pinned: &[
+        "placed",
+        "configured",
+        "warm",
+        "cold",
+        "reconfigurations",
+        "migrated",
+        "rebalance_moves",
+        "max_lock_span",
+        "trace_digest",
+    ],
+};
 
 /// Floor on the fraction of placements that avoid a cold reprogram
 /// (landed configured or warm) — the allocation-quality gate.
@@ -54,6 +79,7 @@ pub fn federation_config(label: &str) -> FederationConfig {
 
 /// One measured ladder point. Every field is deterministic.
 #[derive(Debug, Clone, Serialize)]
+#[cfg_attr(test, derive(Default))]
 pub struct FederationBenchRow {
     /// Ladder label.
     pub label: String,
@@ -232,91 +258,6 @@ pub fn render_federation(title: &str, rows: &[FederationBenchRow]) -> String {
     out
 }
 
-/// One archived row (every field is deterministic, so all are compared).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchivedFederationRow {
-    /// Ladder label.
-    pub label: String,
-    /// Successful placements.
-    pub placed: u64,
-    /// Configured-board placements.
-    pub configured: u64,
-    /// Warm-cache placements.
-    pub warm: u64,
-    /// Cold placements.
-    pub cold: u64,
-    /// Board reprograms.
-    pub reconfigurations: u64,
-    /// Failure migrations.
-    pub migrated: u64,
-    /// Rebalance device moves.
-    pub rebalance_moves: u64,
-    /// Max per-lock span.
-    pub max_lock_span: u64,
-    /// The replay certificate.
-    pub trace_digest: String,
-}
-
-/// Extracts the comparable fields from an archived
-/// `BENCH_federation.json` document. Returns `None` when the document
-/// does not have the expected shape.
-pub fn parse_federation_archive(doc: &serde_json::Value) -> Option<Vec<ArchivedFederationRow>> {
-    doc.as_array()?
-        .iter()
-        .map(|row| {
-            let obj = row.as_object()?;
-            Some(ArchivedFederationRow {
-                label: obj.get("label")?.as_str()?.to_string(),
-                placed: obj.get("placed")?.as_u64()?,
-                configured: obj.get("configured")?.as_u64()?,
-                warm: obj.get("warm")?.as_u64()?,
-                cold: obj.get("cold")?.as_u64()?,
-                reconfigurations: obj.get("reconfigurations")?.as_u64()?,
-                migrated: obj.get("migrated")?.as_u64()?,
-                rebalance_moves: obj.get("rebalance_moves")?.as_u64()?,
-                max_lock_span: obj.get("max_lock_span")?.as_u64()?,
-                trace_digest: obj.get("trace_digest")?.as_str()?.to_string(),
-            })
-        })
-        .collect()
-}
-
-/// Compares `rows` against the matching rows of an archived run,
-/// returning mismatch descriptions (empty when consistent). Rows
-/// missing from the archive are ignored, so the `--smoke` subset checks
-/// cleanly against a full-ladder archive.
-pub fn check_federation_archive(
-    rows: &[FederationBenchRow],
-    archived: &[ArchivedFederationRow],
-) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    for r in rows {
-        let Some(a) = archived.iter().find(|a| a.label == r.label) else {
-            continue;
-        };
-        let mut diff = |field: &str, got: u64, want: u64| {
-            if got != want {
-                mismatches.push(format!("{}: {field} {got} != archived {want}", r.label));
-            }
-        };
-        diff("placed", r.placed, a.placed);
-        diff("configured", r.configured, a.configured);
-        diff("warm", r.warm, a.warm);
-        diff("cold", r.cold, a.cold);
-        diff("reconfigurations", r.reconfigurations, a.reconfigurations);
-        diff("migrated", r.migrated, a.migrated);
-        diff("rebalance_moves", r.rebalance_moves, a.rebalance_moves);
-        diff("max_lock_span", r.max_lock_span, a.max_lock_span);
-        if r.trace_digest != a.trace_digest {
-            mismatches.push(format!(
-                "{}: trace_digest {} != archived {}",
-                r.label, r.trace_digest, a.trace_digest
-            ));
-        }
-    }
-    mismatches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,13 +281,9 @@ mod tests {
     fn smoke_rows_satisfy_the_invariants_and_round_trip() {
         let rows = federation_rows(&FEDERATION_SMOKE);
         assert!(check_federation_invariants(&rows).is_ok(), "{rows:?}");
+        // The measured rows, not just hand-made ones, pass the shared gate.
         let json = serde_json::to_string_pretty(&rows).expect("serialize");
         let doc = serde_json::from_str(&json).expect("parse");
-        let archived = parse_federation_archive(&doc).expect("shape");
-        assert!(check_federation_archive(&rows, &archived).is_empty());
-        // A drifted archive is flagged.
-        let mut drifted = archived;
-        drifted[0].trace_digest = "0".repeat(16);
-        assert_eq!(check_federation_archive(&rows, &drifted).len(), 1);
+        assert!(FEDERATION.check(&rows, &doc).is_empty());
     }
 }

@@ -18,36 +18,50 @@
 //! | Allocation-policy ablation | [`ablation_alloc`] | `ablation_alloc` |
 //! | Data-path ablation | [`ablation_transport`] | `ablation_transport` |
 //! | Task-granularity ablation | [`ablation_taskgrain`] | `ablation_taskgrain` |
+//!
+//! ## Archived ladders
+//!
+//! Five deterministic ladders beyond the paper are archived under
+//! `experiments/BENCH_<name>.json` and replayed in CI. Each is one
+//! [`Ladder`] value; its binary is [`Ladder::run_cli`], and one checker,
+//! [`Ladder::check`], matches fresh rows to archived ones by the key
+//! fields and requires the pinned fields to agree.
+//!
+//! | Ladder | Binary / artifact | Key | Pinned fields |
+//! |---|---|---|---|
+//! | [`DATAPATH`] | `datapath` | `bytes`, `system` | `copied_bytes_per_rtt`, `copy_ops_per_rtt` |
+//! | [`GATEWAY`] | `gateway` | `mode`, `rate` | `offered`, `processed`, `shed`, `failed`, `achieved_rps`, `mean_batch_size` |
+//! | [`SCALE`] | `scale` | `label` | `arrivals`, `processed`, `shed`, `failed_inflight`, `node_losses`, `rerouted`, `force_disconnects`, `watch_events`, `watch_seen`, `metrics_series`, `trace_digest` |
+//! | [`CACHE`] | `cache` | `label`, `system` | `requests`, `offered_bytes`, `wire_bytes`, `hits`, `misses`, `evictions`, `device_hits` |
+//! | [`FEDERATION`] | `federation` | `label` | `placed`, `configured`, `warm`, `cold`, `reconfigurations`, `migrated`, `rebalance_moves`, `max_lock_span`, `trace_digest` |
 
+mod archive;
 mod cache;
 mod datapath;
 mod federation;
 mod gateway;
 mod scale;
 
+pub use crate::archive::Ladder;
 pub use crate::cache::{
-    cache_point, cache_rows, check_cache_archive, check_cache_invariants, parse_cache_archive,
-    render_cache, ArchivedCacheRow, CacheBenchRow, CachePoint, CACHE_LADDER, CACHE_SEED,
-    CACHE_SMOKE, CACHE_ZIPF_EXPONENT,
+    cache_point, cache_rows, check_cache_invariants, render_cache, CacheBenchRow, CachePoint,
+    CACHE, CACHE_LADDER, CACHE_SEED, CACHE_SMOKE, CACHE_ZIPF_EXPONENT,
 };
 pub use crate::datapath::{
-    baseline_copied_bytes, check_against_archive, datapath_rows, parse_archive, render_datapath,
-    ArchivedCopyRow, DatapathRow, LADDER, SMOKE,
+    baseline_copied_bytes, datapath_rows, render_datapath, DatapathRow, DATAPATH, LADDER, SMOKE,
 };
 pub use crate::federation::{
-    check_federation_archive, check_federation_invariants, federation_config, federation_rows,
-    parse_federation_archive, render_federation, ArchivedFederationRow, FederationBenchRow,
-    FEDERATION_LADDER, FEDERATION_QUALITY_FLOOR, FEDERATION_SMOKE, FEDERATION_SPAN_DROP,
-    FEDERATION_SPAN_RATIO,
+    check_federation_invariants, federation_config, federation_rows, render_federation,
+    FederationBenchRow, FEDERATION, FEDERATION_LADDER, FEDERATION_QUALITY_FLOOR, FEDERATION_SMOKE,
+    FEDERATION_SPAN_DROP, FEDERATION_SPAN_RATIO,
 };
 pub use crate::gateway::{
-    check_batching_wins, check_gateway_archive, gateway_duration, gateway_rows,
-    parse_gateway_archive, peak_throughput, render_gateway, ArchivedGatewayRow, GatewayMode,
-    GatewayRow, GATEWAY_LADDER, GATEWAY_SMOKE,
+    check_batching_wins, gateway_duration, gateway_rows, peak_throughput, render_gateway,
+    GatewayMode, GatewayRow, GATEWAY, GATEWAY_LADDER, GATEWAY_SMOKE,
 };
 pub use crate::scale::{
-    check_scale_archive, check_scale_invariants, parse_scale_archive, render_scale, scale_config,
-    scale_rows, ArchivedScaleRow, ScaleBenchRow, SCALE_LADDER, SCALE_SEED, SCALE_SMOKE,
+    check_scale_invariants, render_scale, scale_config, scale_rows, ScaleBenchRow, SCALE,
+    SCALE_LADDER, SCALE_SEED, SCALE_SMOKE,
 };
 
 use std::path::PathBuf;

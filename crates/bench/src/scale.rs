@@ -13,6 +13,8 @@ use serde::Serialize;
 
 use bf_sim::{run_scale, ScaleConfig};
 
+use crate::archive::Ladder;
+
 /// Root seed of every ladder point.
 pub const SCALE_SEED: u64 = 42;
 
@@ -22,6 +24,31 @@ pub const SCALE_LADDER: [&str; 3] = ["small", "medium", "large"];
 /// The CI smoke subset: the small point only, which still runs 100
 /// nodes / 1k functions with the full fault battery.
 pub const SCALE_SMOKE: [&str; 1] = ["small"];
+
+/// The scale ladder, trace digest included in the pins.
+pub const SCALE: Ladder<&str, ScaleBenchRow> = Ladder {
+    name: "scale",
+    title: "Scale — production-day sweep (diurnal Zipf traffic, full fault battery)",
+    ladder: &SCALE_LADDER,
+    smoke: &SCALE_SMOKE,
+    rows: scale_rows,
+    render: render_scale,
+    invariants: check_scale_invariants,
+    key: &["label"],
+    pinned: &[
+        "arrivals",
+        "processed",
+        "shed",
+        "failed_inflight",
+        "node_losses",
+        "rerouted",
+        "force_disconnects",
+        "watch_events",
+        "watch_seen",
+        "metrics_series",
+        "trace_digest",
+    ],
+};
 
 /// Resolves a ladder label to its configuration. The `small` point is
 /// [`ScaleConfig::smoke`] and the `large` point is
@@ -48,6 +75,7 @@ pub fn scale_config(label: &str) -> ScaleConfig {
 
 /// One measured ladder point. Every field is deterministic.
 #[derive(Debug, Clone, Serialize)]
+#[cfg_attr(test, derive(Default))]
 pub struct ScaleBenchRow {
     /// Ladder label.
     pub label: String,
@@ -214,100 +242,6 @@ pub fn render_scale(title: &str, rows: &[ScaleBenchRow]) -> String {
     out
 }
 
-/// One archived row (every field is deterministic, so all are compared).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchivedScaleRow {
-    /// Ladder label.
-    pub label: String,
-    /// Arrivals inside the day.
-    pub arrivals: u64,
-    /// Completed requests.
-    pub processed: u64,
-    /// Sheds.
-    pub shed: u64,
-    /// In-flight losses.
-    pub failed_inflight: u64,
-    /// Node-death events.
-    pub node_losses: u64,
-    /// Migrated instances.
-    pub rerouted: u64,
-    /// Forced disconnects.
-    pub force_disconnects: u64,
-    /// Watch events generated.
-    pub watch_events: u64,
-    /// Watch events consumed.
-    pub watch_seen: u64,
-    /// Metric series registered.
-    pub metrics_series: u64,
-    /// The replay certificate.
-    pub trace_digest: String,
-}
-
-/// Extracts the comparable fields from an archived `BENCH_scale.json`
-/// document. Returns `None` when the document does not have the
-/// expected shape.
-pub fn parse_scale_archive(doc: &serde_json::Value) -> Option<Vec<ArchivedScaleRow>> {
-    doc.as_array()?
-        .iter()
-        .map(|row| {
-            let obj = row.as_object()?;
-            Some(ArchivedScaleRow {
-                label: obj.get("label")?.as_str()?.to_string(),
-                arrivals: obj.get("arrivals")?.as_u64()?,
-                processed: obj.get("processed")?.as_u64()?,
-                shed: obj.get("shed")?.as_u64()?,
-                failed_inflight: obj.get("failed_inflight")?.as_u64()?,
-                node_losses: obj.get("node_losses")?.as_u64()?,
-                rerouted: obj.get("rerouted")?.as_u64()?,
-                force_disconnects: obj.get("force_disconnects")?.as_u64()?,
-                watch_events: obj.get("watch_events")?.as_u64()?,
-                watch_seen: obj.get("watch_seen")?.as_u64()?,
-                metrics_series: obj.get("metrics_series")?.as_u64()?,
-                trace_digest: obj.get("trace_digest")?.as_str()?.to_string(),
-            })
-        })
-        .collect()
-}
-
-/// Compares `rows` against the matching rows of an archived run,
-/// returning mismatch descriptions (empty when consistent). Rows
-/// missing from the archive are ignored, so the `--smoke` subset checks
-/// cleanly against a full-ladder archive.
-pub fn check_scale_archive(rows: &[ScaleBenchRow], archived: &[ArchivedScaleRow]) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    for r in rows {
-        let Some(a) = archived.iter().find(|a| a.label == r.label) else {
-            continue;
-        };
-        let mut diff = |field: &str, got: u64, want: u64| {
-            if got != want {
-                mismatches.push(format!("{}: {field} {got} != archived {want}", r.label));
-            }
-        };
-        diff("arrivals", r.arrivals, a.arrivals);
-        diff("processed", r.processed, a.processed);
-        diff("shed", r.shed, a.shed);
-        diff("failed_inflight", r.failed_inflight, a.failed_inflight);
-        diff("node_losses", r.node_losses, a.node_losses);
-        diff("rerouted", r.rerouted, a.rerouted);
-        diff(
-            "force_disconnects",
-            r.force_disconnects,
-            a.force_disconnects,
-        );
-        diff("watch_events", r.watch_events, a.watch_events);
-        diff("watch_seen", r.watch_seen, a.watch_seen);
-        diff("metrics_series", r.metrics_series, a.metrics_series);
-        if r.trace_digest != a.trace_digest {
-            mismatches.push(format!(
-                "{}: trace_digest {} != archived {}",
-                r.label, r.trace_digest, a.trace_digest
-            ));
-        }
-    }
-    mismatches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,13 +265,9 @@ mod tests {
     fn smoke_row_satisfies_the_invariants_and_round_trips() {
         let rows = scale_rows(&SCALE_SMOKE);
         assert!(check_scale_invariants(&rows).is_ok(), "{rows:?}");
+        // The measured rows, not just hand-made ones, pass the shared gate.
         let json = serde_json::to_string_pretty(&rows).expect("serialize");
         let doc = serde_json::from_str(&json).expect("parse");
-        let archived = parse_scale_archive(&doc).expect("shape");
-        assert!(check_scale_archive(&rows, &archived).is_empty());
-        // A drifted archive is flagged.
-        let mut drifted = archived;
-        drifted[0].trace_digest = "0".repeat(16);
-        assert_eq!(check_scale_archive(&rows, &drifted).len(), 1);
+        assert!(SCALE.check(&rows, &doc).is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //! therefore stores devices as [`RegistryDevice`] trait objects: the
 //! manager implements it, and simulation/model harnesses register
 //! lightweight stand-ins through
-//! [`Registry::register_device_handle`](crate::Registry::register_device_handle).
+//! [`PlacementService::register_device_handle`](crate::PlacementService::register_device_handle).
 
 use std::sync::Arc;
 

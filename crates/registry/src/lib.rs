@@ -18,7 +18,7 @@
 //!   create-before-delete semantics before the board is reprogrammed.
 //!
 //! ```
-//! use bf_registry::{AllocationPolicy, DeviceQuery, Registry};
+//! use bf_registry::{AllocationPolicy, DeviceQuery, PlacementService, Registry};
 //!
 //! let registry = Registry::new(AllocationPolicy::paper());
 //! registry.register_function("sobel-1", DeviceQuery::for_accelerator("spector-sobel"));
@@ -90,7 +90,8 @@ mod tests {
     fn placement_balances_and_programs_blank_boards() {
         let registry = registry_with_three_devices();
         for i in 1..=5 {
-            registry.register_function(format!("sobel-{i}"), DeviceQuery::for_accelerator("sobel"));
+            registry
+                .register_function(&format!("sobel-{i}"), DeviceQuery::for_accelerator("sobel"));
         }
         let mut nodes = Vec::new();
         for i in 1..=5 {
@@ -238,7 +239,7 @@ mod tests {
         let registry = registry_with_three_devices();
         registry.register_function("sobel-1", DeviceQuery::for_accelerator("sobel"));
         let placement = registry.place_instance("inst-1", "sobel-1").expect("place");
-        let validator = registry.reconfig_validator();
+        let validator = reconfig_validator(Arc::new(registry.clone()));
         let ok = bf_devmgr::ReconfigRequest {
             client_name: "inst-1".to_string(),
             bitstream: "mm".to_string(),
@@ -257,7 +258,7 @@ mod tests {
     fn cluster_admission_patches_instances() {
         let cluster = Cluster::new(paper_cluster());
         let registry = registry_with_three_devices();
-        registry.attach_cluster(&cluster);
+        attach_placement(&cluster, Arc::new(registry.clone()));
         registry.register_function("sobel-1", DeviceQuery::for_accelerator("sobel"));
         let inst = cluster
             .create_instance(InstanceTemplate::new("sobel-1"))
@@ -279,7 +280,7 @@ mod tests {
     fn deletion_releases_the_binding() {
         let cluster = Cluster::new(paper_cluster());
         let registry = registry_with_three_devices();
-        registry.attach_cluster(&cluster);
+        attach_placement(&cluster, Arc::new(registry.clone()));
         registry.register_function("sobel-1", DeviceQuery::for_accelerator("sobel"));
         let inst = cluster
             .create_instance(InstanceTemplate::new("sobel-1"))
@@ -303,7 +304,7 @@ mod tests {
         // Two devices so the displaced mm tenant has somewhere to go.
         registry.register_device(manager("fpga-b", node_b()));
         registry.register_device(manager("fpga-c", node_c()));
-        registry.attach_cluster(&cluster);
+        attach_placement(&cluster, Arc::new(registry.clone()));
         registry.register_function("mm-1", DeviceQuery::for_accelerator("mm"));
 
         let inst = cluster
@@ -338,9 +339,10 @@ mod tests {
     fn device_failure_migrates_tenants_to_survivors() {
         let cluster = Cluster::new(paper_cluster());
         let registry = registry_with_three_devices();
-        registry.attach_cluster(&cluster);
+        attach_placement(&cluster, Arc::new(registry.clone()));
         for i in 1..=3 {
-            registry.register_function(format!("sobel-{i}"), DeviceQuery::for_accelerator("sobel"));
+            registry
+                .register_function(&format!("sobel-{i}"), DeviceQuery::for_accelerator("sobel"));
             cluster
                 .create_instance(InstanceTemplate::new(format!("sobel-{i}")))
                 .expect("create");
@@ -382,9 +384,10 @@ mod tests {
         let cluster = Cluster::new(paper_cluster());
         let registry = Registry::new(AllocationPolicy::paper());
         registry.register_device(manager("fpga-b", node_b()));
-        registry.attach_cluster(&cluster);
+        attach_placement(&cluster, Arc::new(registry.clone()));
         for i in 1..=2 {
-            registry.register_function(format!("sobel-{i}"), DeviceQuery::for_accelerator("sobel"));
+            registry
+                .register_function(&format!("sobel-{i}"), DeviceQuery::for_accelerator("sobel"));
         }
         let first = cluster
             .create_instance(InstanceTemplate::new("sobel-1"))
@@ -407,7 +410,7 @@ mod tests {
     fn admission_failure_propagates_to_create() {
         let cluster = Cluster::new(paper_cluster());
         let registry = Registry::new(AllocationPolicy::paper());
-        registry.attach_cluster(&cluster); // no devices registered
+        attach_placement(&cluster, Arc::new(registry.clone())); // no devices registered
         registry.register_function("sobel-1", DeviceQuery::for_accelerator("sobel"));
         let err = cluster
             .create_instance(InstanceTemplate::new("sobel-1"))

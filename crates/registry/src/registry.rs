@@ -8,7 +8,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bf_cluster::Cluster;
-use bf_devmgr::{DeviceManager, ReconfigRequest};
+use bf_devmgr::DeviceManager;
 use bf_metrics::MetricsRegistry;
 use bf_model::NodeId;
 use bf_race::sync::Mutex;
@@ -17,7 +17,7 @@ use crate::allocation::{allocate, AllocateError, Allocation, AllocationPolicy, D
 use crate::device::RegistryDevice;
 use crate::gatherer::{gauge_for_device, parse_scrape};
 use crate::query::DeviceQuery;
-use crate::service::{ContentionReport, PlacementOutcomes, ShardLoadSummary};
+use crate::service::{ContentionReport, PlacementOutcomes, PlacementService, ShardLoadSummary};
 
 /// Environment variable the registry injects with the allocated manager's
 /// address.
@@ -140,8 +140,8 @@ impl From<AllocateError> for RegistryError {
     }
 }
 
-/// The central controller. Cloning yields another handle to the same
-/// registry.
+/// The central controller. Its operations are its [`PlacementService`]
+/// impl. Cloning yields another handle to the same registry.
 #[derive(Clone)]
 pub struct Registry {
     registry: Arc<Mutex<RegistryInner>>,
@@ -175,12 +175,6 @@ impl Registry {
         self.insert_device(Arc::new(manager.clone()), Some(manager));
     }
 
-    /// Registers a device through a bare [`RegistryDevice`] handle — the
-    /// simulation/model path, where no manager event loop exists.
-    pub fn register_device_handle(&self, device: Arc<dyn RegistryDevice>) {
-        self.insert_device(device, None);
-    }
-
     fn insert_device(&self, device: Arc<dyn RegistryDevice>, manager: Option<DeviceManager>) {
         let id = device.device_id().to_string();
         self.registry.lock().devices.insert(
@@ -193,52 +187,6 @@ impl Registry {
                 pending_reconfiguration: None,
             },
         );
-    }
-
-    /// Registers a function and its device query (Functions Service).
-    pub fn register_function(&self, name: impl Into<String>, query: DeviceQuery) {
-        let name = name.into();
-        self.registry.lock().functions.insert(
-            name.clone(),
-            FunctionRecord {
-                name,
-                query,
-                instances: Vec::new(),
-            },
-        );
-    }
-
-    /// Fetches a function record.
-    pub fn function(&self, name: &str) -> Option<FunctionRecord> {
-        self.registry.lock().functions.get(name).cloned()
-    }
-
-    /// The manager handle for a device id (what a function instance dials
-    /// after reading `DEVICE_MANAGER_ADDRESS`). `None` for devices
-    /// registered through a bare handle.
-    pub fn manager(&self, device_id: &str) -> Option<DeviceManager> {
-        self.registry
-            .lock()
-            .devices
-            .get(device_id)
-            .and_then(|d| d.manager.clone())
-    }
-
-    /// All registered device ids, pre-sized off the device table.
-    pub fn device_ids(&self) -> Vec<String> {
-        let inner = self.registry.lock();
-        let mut ids = Vec::with_capacity(inner.devices.len());
-        ids.extend(inner.devices.keys().cloned());
-        ids
-    }
-
-    /// The device an instance is bound to.
-    pub fn binding(&self, instance: &str) -> Option<String> {
-        self.registry
-            .lock()
-            .bindings
-            .get(instance)
-            .map(|(_, d)| d.clone())
     }
 
     /// Pre-sized snapshot of `(device id, handle)` pairs — the only thing
@@ -254,40 +202,6 @@ impl Registry {
             handles.push((id.clone(), d.device.clone()));
         }
         handles
-    }
-
-    /// Metrics Gatherer: scrapes every manager's Prometheus text and
-    /// refreshes the utilization the allocator orders by.
-    ///
-    /// Scrapes run outside the registry lock (they take each manager's
-    /// own locks): the lock is held twice for pre-sized point work — the
-    /// handle snapshot and the gauge write-back — never across a device
-    /// round-trip.
-    pub fn gather_metrics(&self) {
-        let handles = self.device_handles();
-        let mut scrapes = Vec::with_capacity(handles.len());
-        for (id, device) in handles {
-            scrapes.push((id, device.scrape()));
-        }
-        let mut inner = self.registry.lock();
-        for (id, text) in scrapes {
-            let samples = parse_scrape(&text);
-            if let Some(util) = gauge_for_device(&samples, "bf_fpga_utilization", &id) {
-                if let Some(dev) = inner.devices.get_mut(&id) {
-                    dev.utilization = util;
-                }
-            }
-            // Mean op latency from the histogram's _sum/_count pair.
-            let sum = gauge_for_device(&samples, "bf_manager_op_latency_ms_sum", &id);
-            let count = gauge_for_device(&samples, "bf_manager_op_latency_ms_count", &id);
-            if let (Some(sum), Some(count)) = (sum, count) {
-                if count > 0.0 {
-                    if let Some(dev) = inner.devices.get_mut(&id) {
-                        dev.mean_op_latency_ms = sum / count;
-                    }
-                }
-            }
-        }
     }
 
     /// Materializes the allocator's device views in one pass over the
@@ -327,6 +241,176 @@ impl Registry {
         views
     }
 
+    /// The aggregate load summary a federated router sees for this shard:
+    /// counts, mean utilization, and the configured/warm bitstream hint
+    /// sets — never per-device state.
+    pub fn load_summary(&self, shard: usize) -> ShardLoadSummary {
+        let mut inner = self.registry.lock();
+        inner.note_full_span();
+        let mut configured = BTreeSet::new();
+        let mut warm = BTreeSet::new();
+        let mut pending = 0usize;
+        let mut utilization_sum = 0.0f64;
+        for d in inner.devices.values() {
+            let state = d.device.board_state();
+            if let Some(b) = state.configured {
+                configured.insert(b);
+            }
+            for w in state.warm {
+                warm.insert(w);
+            }
+            if let Some(p) = &d.pending_reconfiguration {
+                // The device's future bitstream counts as configured for
+                // routing purposes — concurrent placements should chase it.
+                configured.insert(p.clone());
+                pending += 1;
+            }
+            utilization_sum += d.utilization;
+        }
+        let devices = inner.devices.len();
+        ShardLoadSummary {
+            shard,
+            devices,
+            bindings: inner.bindings.len(),
+            pending_reconfigurations: pending,
+            mean_utilization: if devices == 0 {
+                0.0
+            } else {
+                utilization_sum / devices as f64
+            },
+            configured,
+            warm,
+        }
+    }
+
+    /// Lock-contention accounting for this registry's lock.
+    pub fn contention(&self, shard: usize) -> ContentionReport {
+        let stats = self.registry.lock().contention;
+        ContentionReport { shard, stats }
+    }
+
+    /// Detaches `device_id` and its bindings for a shard-map rebalance.
+    /// Unlike [`handle_device_failure`](Self::handle_device_failure) the
+    /// bindings survive — the importing shard re-homes them unchanged.
+    pub(crate) fn export_device(&self, device_id: &str) -> Option<DeviceExport> {
+        let mut inner = self.registry.lock();
+        let d = inner.devices.remove(device_id)?;
+        let moved: Vec<(String, String)> = inner
+            .bindings
+            .iter()
+            .filter(|(_, (_, dev))| dev == device_id)
+            .map(|(i, (f, _))| (i.clone(), f.clone()))
+            .collect();
+        for (instance, function) in &moved {
+            inner.bindings.remove(instance);
+            if let Some(rec) = inner.functions.get_mut(function) {
+                rec.instances.retain(|i| i != instance);
+            }
+        }
+        Some(DeviceExport {
+            device: d.device,
+            manager: d.manager,
+            utilization: d.utilization,
+            mean_op_latency_ms: d.mean_op_latency_ms,
+            pending_reconfiguration: d.pending_reconfiguration,
+            bindings: moved,
+        })
+    }
+
+    /// Re-homes a device exported from another shard, bindings included.
+    pub(crate) fn import_device(&self, export: DeviceExport) {
+        let mut inner = self.registry.lock();
+        let id = export.device.device_id().to_string();
+        for (instance, function) in &export.bindings {
+            inner
+                .bindings
+                .insert(instance.clone(), (function.clone(), id.clone()));
+            if let Some(rec) = inner.functions.get_mut(function) {
+                rec.instances.push(instance.clone());
+            }
+        }
+        inner.devices.insert(
+            id,
+            ManagedDevice {
+                device: export.device,
+                manager: export.manager,
+                utilization: export.utilization,
+                mean_op_latency_ms: export.mean_op_latency_ms,
+                pending_reconfiguration: export.pending_reconfiguration,
+            },
+        );
+    }
+}
+
+/// A single registry, one shard: the paper's Algorithm 1 under one lock.
+impl PlacementService for Registry {
+    /// Registers a device through a bare [`RegistryDevice`] handle — the
+    /// simulation/model path, where no manager event loop exists.
+    fn register_device_handle(&self, device: Arc<dyn RegistryDevice>) {
+        self.insert_device(device, None);
+    }
+
+    /// Registers a function and its device query (Functions Service).
+    fn register_function(&self, name: &str, query: DeviceQuery) {
+        let name = name.to_string();
+        self.registry.lock().functions.insert(
+            name.clone(),
+            FunctionRecord {
+                name,
+                query,
+                instances: Vec::new(),
+            },
+        );
+    }
+
+    /// Fetches a function record.
+    fn function(&self, name: &str) -> Option<FunctionRecord> {
+        self.registry.lock().functions.get(name).cloned()
+    }
+
+    /// The manager handle for a device id (what a function instance dials
+    /// after reading `DEVICE_MANAGER_ADDRESS`). `None` for devices
+    /// registered through a bare handle.
+    fn manager(&self, device_id: &str) -> Option<DeviceManager> {
+        self.registry
+            .lock()
+            .devices
+            .get(device_id)
+            .and_then(|d| d.manager.clone())
+    }
+
+    /// All registered device ids, pre-sized off the device table.
+    fn device_ids(&self) -> Vec<String> {
+        let inner = self.registry.lock();
+        let mut ids = Vec::with_capacity(inner.devices.len());
+        ids.extend(inner.devices.keys().cloned());
+        ids
+    }
+
+    /// Snapshot of the allocator's device views (diagnostics, tests).
+    fn device_views(&self) -> Vec<DeviceView> {
+        let mut inner = self.registry.lock();
+        inner.note_full_span();
+        Self::views(&inner)
+    }
+
+    /// Nodes currently hosting at least one registered device.
+    fn device_nodes(&self) -> Vec<NodeId> {
+        let inner = self.registry.lock();
+        let mut nodes = Vec::with_capacity(inner.devices.len());
+        nodes.extend(inner.devices.values().map(|d| d.device.node().id().clone()));
+        nodes
+    }
+
+    /// The device an instance is bound to.
+    fn binding(&self, instance: &str) -> Option<String> {
+        self.registry
+            .lock()
+            .bindings
+            .get(instance)
+            .map(|(_, d)| d.clone())
+    }
+
     /// Runs Algorithm 1 for a new instance of `function` and applies the
     /// decision: binds the instance, and — when the chosen device needs a
     /// different bitstream — migrates the displaced tenants (through the
@@ -338,11 +422,7 @@ impl Registry {
     ///
     /// Fails when the function is unknown, no device survives Algorithm 1,
     /// or the reprogramming/migration fails.
-    pub fn place_instance(
-        &self,
-        instance: &str,
-        function: &str,
-    ) -> Result<Allocation, RegistryError> {
+    fn place_instance(&self, instance: &str, function: &str) -> Result<Allocation, RegistryError> {
         let (decision, device) = {
             let mut inner = self.registry.lock();
             inner.note_full_span();
@@ -421,7 +501,7 @@ impl Registry {
     }
 
     /// Removes an instance's binding (called when its pod is deleted).
-    pub fn release_instance(&self, instance: &str) {
+    fn release_instance(&self, instance: &str) {
         let mut inner = self.registry.lock();
         if let Some((function, _)) = inner.bindings.remove(instance) {
             if let Some(rec) = inner.functions.get_mut(&function) {
@@ -437,11 +517,7 @@ impl Registry {
     /// # Errors
     ///
     /// Fails on unknown devices or when reprogramming fails.
-    pub fn reconfigure_device(
-        &self,
-        device_id: &str,
-        bitstream: &str,
-    ) -> Result<(), RegistryError> {
+    fn reconfigure_device(&self, device_id: &str, bitstream: &str) -> Result<(), RegistryError> {
         let (device, tenants) = {
             let mut inner = self.registry.lock();
             let dev = inner
@@ -494,7 +570,7 @@ impl Registry {
     /// Returns [`RegistryError::UnknownDevice`] for unregistered ids, or a
     /// cluster/allocation failure when a tenant cannot be rehomed (the
     /// device stays deregistered either way — it is gone).
-    pub fn handle_device_failure(&self, device_id: &str) -> Result<Vec<String>, RegistryError> {
+    fn handle_device_failure(&self, device_id: &str) -> Result<Vec<String>, RegistryError> {
         let tenants = {
             let mut inner = self.registry.lock();
             if inner.devices.remove(device_id).is_none() {
@@ -528,85 +604,46 @@ impl Registry {
         Ok(tenants)
     }
 
-    /// The validator Device Managers consult for client-initiated
-    /// reconfiguration requests: approved only when the requesting
-    /// instance is actually allocated to that device.
-    pub fn reconfig_validator(&self) -> Arc<dyn Fn(&ReconfigRequest) -> bool + Send + Sync> {
-        crate::service::reconfig_validator(Arc::new(self.clone()))
-    }
-
-    /// Wires the registry into a cluster: installs the admission hook that
-    /// intercepts instance creation (allocating a device, injecting
-    /// `DEVICE_MANAGER_ADDRESS` and the shm volume, forcing the host) and
-    /// spawns a watcher that releases bindings on pod deletion.
-    pub fn attach_cluster(&self, cluster: &Cluster) {
-        crate::service::attach_placement(cluster, Arc::new(self.clone()));
-    }
-
-    /// Stores the cluster handle used for displaced-tenant migration.
-    pub(crate) fn bind_cluster_handle(&self, cluster: &Cluster) {
-        *self.cluster.lock() = Some(cluster.clone());
-    }
-
-    /// Snapshot of the allocator's device views (diagnostics, tests).
-    pub fn device_views(&self) -> Vec<DeviceView> {
-        let mut inner = self.registry.lock();
-        inner.note_full_span();
-        Self::views(&inner)
-    }
-
-    /// Nodes currently hosting at least one registered device.
-    pub fn device_nodes(&self) -> Vec<NodeId> {
-        let inner = self.registry.lock();
-        let mut nodes = Vec::with_capacity(inner.devices.len());
-        nodes.extend(inner.devices.values().map(|d| d.device.node().id().clone()));
-        nodes
-    }
-
-    /// The aggregate load summary a federated router sees for this shard:
-    /// counts, mean utilization, and the configured/warm bitstream hint
-    /// sets — never per-device state.
-    pub fn load_summary(&self, shard: usize) -> ShardLoadSummary {
-        let mut inner = self.registry.lock();
-        inner.note_full_span();
-        let mut configured = BTreeSet::new();
-        let mut warm = BTreeSet::new();
-        let mut pending = 0usize;
-        let mut utilization_sum = 0.0f64;
-        for d in inner.devices.values() {
-            let state = d.device.board_state();
-            if let Some(b) = state.configured {
-                configured.insert(b);
-            }
-            for w in state.warm {
-                warm.insert(w);
-            }
-            if let Some(p) = &d.pending_reconfiguration {
-                // The device's future bitstream counts as configured for
-                // routing purposes — concurrent placements should chase it.
-                configured.insert(p.clone());
-                pending += 1;
-            }
-            utilization_sum += d.utilization;
+    /// Metrics Gatherer: scrapes every manager's Prometheus text and
+    /// refreshes the utilization the allocator orders by.
+    ///
+    /// Scrapes run outside the registry lock (they take each manager's
+    /// own locks): the lock is held twice for pre-sized point work — the
+    /// handle snapshot and the gauge write-back — never across a device
+    /// round-trip.
+    fn gather_metrics(&self) {
+        let handles = self.device_handles();
+        let mut scrapes = Vec::with_capacity(handles.len());
+        for (id, device) in handles {
+            scrapes.push((id, device.scrape()));
         }
-        let devices = inner.devices.len();
-        ShardLoadSummary {
-            shard,
-            devices,
-            bindings: inner.bindings.len(),
-            pending_reconfigurations: pending,
-            mean_utilization: if devices == 0 {
-                0.0
-            } else {
-                utilization_sum / devices as f64
-            },
-            configured,
-            warm,
+        let mut inner = self.registry.lock();
+        for (id, text) in scrapes {
+            let samples = parse_scrape(&text);
+            if let Some(util) = gauge_for_device(&samples, "bf_fpga_utilization", &id) {
+                if let Some(dev) = inner.devices.get_mut(&id) {
+                    dev.utilization = util;
+                }
+            }
+            // Mean op latency from the histogram's _sum/_count pair.
+            let sum = gauge_for_device(&samples, "bf_manager_op_latency_ms_sum", &id);
+            let count = gauge_for_device(&samples, "bf_manager_op_latency_ms_count", &id);
+            if let (Some(sum), Some(count)) = (sum, count) {
+                if count > 0.0 {
+                    if let Some(dev) = inner.devices.get_mut(&id) {
+                        dev.mean_op_latency_ms = sum / count;
+                    }
+                }
+            }
         }
+    }
+
+    fn load_summaries(&self) -> Vec<ShardLoadSummary> {
+        vec![self.load_summary(0)]
     }
 
     /// Placement outcome totals from this registry's metrics.
-    pub fn placement_outcomes(&self) -> PlacementOutcomes {
+    fn placement_outcomes(&self) -> PlacementOutcomes {
         let read = |outcome: &str| {
             self.metrics
                 .counter_value("bf_registry_placements_total", &[("outcome", outcome)])
@@ -619,62 +656,13 @@ impl Registry {
         }
     }
 
-    /// Lock-contention accounting for this registry's lock.
-    pub fn contention(&self, shard: usize) -> ContentionReport {
-        let stats = self.registry.lock().contention;
-        ContentionReport { shard, stats }
+    fn contention(&self) -> Vec<ContentionReport> {
+        vec![Registry::contention(self, 0)]
     }
 
-    /// Detaches `device_id` and its bindings for a shard-map rebalance.
-    /// Unlike [`handle_device_failure`](Self::handle_device_failure) the
-    /// bindings survive — the importing shard re-homes them unchanged.
-    pub(crate) fn export_device(&self, device_id: &str) -> Option<DeviceExport> {
-        let mut inner = self.registry.lock();
-        let d = inner.devices.remove(device_id)?;
-        let moved: Vec<(String, String)> = inner
-            .bindings
-            .iter()
-            .filter(|(_, (_, dev))| dev == device_id)
-            .map(|(i, (f, _))| (i.clone(), f.clone()))
-            .collect();
-        for (instance, function) in &moved {
-            inner.bindings.remove(instance);
-            if let Some(rec) = inner.functions.get_mut(function) {
-                rec.instances.retain(|i| i != instance);
-            }
-        }
-        Some(DeviceExport {
-            device: d.device,
-            manager: d.manager,
-            utilization: d.utilization,
-            mean_op_latency_ms: d.mean_op_latency_ms,
-            pending_reconfiguration: d.pending_reconfiguration,
-            bindings: moved,
-        })
-    }
-
-    /// Re-homes a device exported from another shard, bindings included.
-    pub(crate) fn import_device(&self, export: DeviceExport) {
-        let mut inner = self.registry.lock();
-        let id = export.device.device_id().to_string();
-        for (instance, function) in &export.bindings {
-            inner
-                .bindings
-                .insert(instance.clone(), (function.clone(), id.clone()));
-            if let Some(rec) = inner.functions.get_mut(function) {
-                rec.instances.push(instance.clone());
-            }
-        }
-        inner.devices.insert(
-            id,
-            ManagedDevice {
-                device: export.device,
-                manager: export.manager,
-                utilization: export.utilization,
-                mean_op_latency_ms: export.mean_op_latency_ms,
-                pending_reconfiguration: export.pending_reconfiguration,
-            },
-        );
+    /// Stores the cluster handle used for displaced-tenant migration.
+    fn bind_cluster(&self, cluster: &Cluster) {
+        *self.cluster.lock() = Some(cluster.clone());
     }
 }
 

@@ -2,9 +2,9 @@
 //! autoscaler, cluster admission, the DES harnesses) and whatever
 //! allocates devices behind it.
 //!
-//! [`PlacementService`] is exactly the surface the single [`Registry`]
-//! already exposed — place / release / reconfigure / failure / views —
-//! lifted to a trait so a [`ShardedRegistry`](crate::ShardedRegistry)
+//! [`PlacementService`] is the only operational surface of a
+//! [`Registry`](crate::Registry) — place / release / reconfigure /
+//! failure / views — so a [`ShardedRegistry`](crate::ShardedRegistry)
 //! (or anything else) can stand in without callers changing. Cross-shard
 //! coordination happens only through [`ShardLoadSummary`] aggregates:
 //! a federated router never sees per-device state, mirroring funcX's
@@ -22,7 +22,7 @@ use crate::allocation::{Allocation, DeviceView};
 use crate::device::RegistryDevice;
 use crate::query::DeviceQuery;
 use crate::registry::{
-    ContentionStats, FunctionRecord, Registry, RegistryError, ENV_DEVICE_MANAGER, SHM_VOLUME_PREFIX,
+    ContentionStats, FunctionRecord, RegistryError, ENV_DEVICE_MANAGER, SHM_VOLUME_PREFIX,
 };
 
 /// The aggregate load a federated router sees for one shard.
@@ -109,10 +109,10 @@ pub struct ContentionReport {
 
 /// The typed placement API the rest of the system programs against.
 ///
-/// [`Registry`] implements it directly (one shard, the paper's
-/// Algorithm 1); [`ShardedRegistry`](crate::ShardedRegistry) implements
-/// it by routing on [`ShardLoadSummary`] aggregates. Callers that used
-/// to take `&Registry` take `&dyn PlacementService` (or an
+/// [`Registry`](crate::Registry) implements it directly (one shard, the
+/// paper's Algorithm 1); [`ShardedRegistry`](crate::ShardedRegistry)
+/// implements it by routing on [`ShardLoadSummary`] aggregates. Callers
+/// that used to take `&Registry` take `&dyn PlacementService` (or an
 /// `Arc<dyn PlacementService>`) and cannot tell the difference.
 pub trait PlacementService: Send + Sync {
     /// Registers a device through a bare handle (Devices Service).
@@ -181,76 +181,6 @@ pub trait PlacementService: Send + Sync {
     /// Callers normally go through [`attach_placement`], which also
     /// installs the admission hook and deletion watcher.
     fn bind_cluster(&self, cluster: &Cluster);
-}
-
-impl PlacementService for Registry {
-    fn register_device_handle(&self, device: Arc<dyn RegistryDevice>) {
-        Registry::register_device_handle(self, device);
-    }
-
-    fn register_function(&self, name: &str, query: DeviceQuery) {
-        Registry::register_function(self, name, query);
-    }
-
-    fn function(&self, name: &str) -> Option<FunctionRecord> {
-        Registry::function(self, name)
-    }
-
-    fn manager(&self, device_id: &str) -> Option<DeviceManager> {
-        Registry::manager(self, device_id)
-    }
-
-    fn device_ids(&self) -> Vec<String> {
-        Registry::device_ids(self)
-    }
-
-    fn device_views(&self) -> Vec<DeviceView> {
-        Registry::device_views(self)
-    }
-
-    fn device_nodes(&self) -> Vec<NodeId> {
-        Registry::device_nodes(self)
-    }
-
-    fn binding(&self, instance: &str) -> Option<String> {
-        Registry::binding(self, instance)
-    }
-
-    fn place_instance(&self, instance: &str, function: &str) -> Result<Allocation, RegistryError> {
-        Registry::place_instance(self, instance, function)
-    }
-
-    fn release_instance(&self, instance: &str) {
-        Registry::release_instance(self, instance);
-    }
-
-    fn reconfigure_device(&self, device_id: &str, bitstream: &str) -> Result<(), RegistryError> {
-        Registry::reconfigure_device(self, device_id, bitstream)
-    }
-
-    fn handle_device_failure(&self, device_id: &str) -> Result<Vec<String>, RegistryError> {
-        Registry::handle_device_failure(self, device_id)
-    }
-
-    fn gather_metrics(&self) {
-        Registry::gather_metrics(self);
-    }
-
-    fn load_summaries(&self) -> Vec<ShardLoadSummary> {
-        vec![self.load_summary(0)]
-    }
-
-    fn placement_outcomes(&self) -> PlacementOutcomes {
-        Registry::placement_outcomes(self)
-    }
-
-    fn contention(&self) -> Vec<ContentionReport> {
-        vec![Registry::contention(self, 0)]
-    }
-
-    fn bind_cluster(&self, cluster: &Cluster) {
-        self.bind_cluster_handle(cluster);
-    }
 }
 
 /// The validator Device Managers consult for client-initiated

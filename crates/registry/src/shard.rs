@@ -189,10 +189,10 @@ impl ShardedRegistry {
                 .collect()
         };
         for (name, query) in functions {
-            registry.register_function(name, query);
+            registry.register_function(&name, query);
         }
         if let Some(cluster) = &state.cluster {
-            registry.bind_cluster_handle(cluster);
+            registry.bind_cluster(cluster);
         }
         state.ids.push(id.clone());
         state.shards.push(registry);
@@ -455,7 +455,7 @@ impl PlacementService for ShardedRegistry {
         let mut state = self.shard_map.lock();
         state.cluster = Some(cluster.clone());
         for shard in &state.shards {
-            shard.bind_cluster_handle(cluster);
+            shard.bind_cluster(cluster);
         }
     }
 }

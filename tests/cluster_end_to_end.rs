@@ -44,7 +44,7 @@ fn five_functions_place_like_table_ii_and_serve_traffic() {
     let (cluster, registry) = build_stack();
     for i in 1..=5 {
         registry.register_function(
-            format!("sobel-{i}"),
+            &format!("sobel-{i}"),
             DeviceQuery::for_accelerator(sobel::SOBEL_BITSTREAM),
         );
     }
@@ -126,7 +126,7 @@ fn wrong_bitstream_triggers_validated_reconfiguration_and_migration() {
     // Fill all three boards with mm tenants first.
     for i in 1..=3 {
         registry.register_function(
-            format!("mm-{i}"),
+            &format!("mm-{i}"),
             DeviceQuery::for_accelerator(mm::MM_BITSTREAM),
         );
         cluster
